@@ -1,6 +1,5 @@
 #include "bench.hpp"
 
-#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -280,11 +279,6 @@ int main(int argc, char** argv) {
     else return usage();
   }
   if (!(args.seconds > 0.0)) return usage();
-  // A fixed mmap threshold: glibc's dynamic one moves freed large blocks
-  // into per-thread arenas, so peak RSS would depend on which pool thread
-  // happened to solve which point. Fixed, it follows the live working set.
-  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
-
   Outcome out;
   try {
     if (args.workload == "interval_sweep_6v") out = run_interval_sweep_6v(args);

@@ -47,17 +47,15 @@ void set_layer_metrics(Outcome& out, const LayerInputs& in,
   }
   out.set("runtime.parallel_efficiency", in.parallel_efficiency, "ratio");
 
-  if (in.service_layers) {
-    out.set("store.get_ms_p50", in.store_get_ms_p50, "ms");
-    out.set("store.put_ms_p50", in.store_put_ms_p50, "ms");
-    out.set("store.bytes_written", in.store_bytes_written, "B");
-    out.set("store.entries_read", in.store_entries_read, "count");
-    out.set("service.rtt_ms_p50", in.service_rtt_ms_p50, "ms");
-    out.set("service.executed", in.service_executed, "count");
-    out.set("service.coalesced", in.service_coalesced, "count");
-    out.set("loadgen.lag_ms_p99", in.loadgen_lag_ms_p99, "ms");
-    out.set("loadgen.latency_p99_ms", in.loadgen_latency_p99_ms, "ms");
-  }
+  out.set("store.get_ms_p50", in.store_get_ms_p50, "ms");
+  out.set("store.put_ms_p50", in.store_put_ms_p50, "ms");
+  out.set("store.bytes_written", in.store_bytes_written, "B");
+  out.set("store.entries_read", in.store_entries_read, "count");
+  out.set("service.rtt_ms_p50", in.service_rtt_ms_p50, "ms");
+  out.set("service.executed", in.service_executed, "count");
+  out.set("service.coalesced", in.service_coalesced, "count");
+  out.set("loadgen.lag_ms_p99", in.loadgen_lag_ms_p99, "ms");
+  out.set("loadgen.latency_p99_ms", in.loadgen_latency_p99_ms, "ms");
 
   out.set("monitor.resolves", delta("monitor.resolves"), "count");
   out.set("monitor.retunes", delta("monitor.retunes"), "count");

@@ -47,10 +47,6 @@ struct StageTally {
 
 /// Numbers only the workload itself can supply.
 struct LayerInputs {
-  /// The service / store / load-generator group: only nvpd_mixed drives
-  /// them, and it is not one of BENCHMARK.json's workloads, so the others
-  /// leave these metrics out of their result line.
-  bool service_layers = false;
   double structure_ms = 0.0;
   double tangible_states = 0.0;
   double parallel_efficiency = 0.0;

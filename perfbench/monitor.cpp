@@ -1,6 +1,8 @@
 // monitor_drift: closed-loop rejuvenation sessions under a 10x step drift of
 // the compromise rate on the paper's 6v model, hysteresis policy.
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "bench.hpp"
 #include "layers.hpp"
@@ -18,6 +20,9 @@ using nvp::monitor::SessionConfig;
 using nvp::monitor::SessionResult;
 
 constexpr double kHorizon = 20000.0;
+/// One round is a cycle of this many sessions, the same ones in every
+/// round, so the inputs do not depend on how many rounds fit in a run.
+constexpr std::uint64_t kSessionsPerRound = 8;
 
 SessionConfig session_config(std::uint64_t seed, std::uint64_t index) {
   SessionConfig config;
@@ -31,10 +36,13 @@ SessionConfig session_config(std::uint64_t seed, std::uint64_t index) {
   return config;
 }
 
-/// Times one perception frame of a session: the gap between consecutive
-/// frame callbacks is the perception system's own work, the callback is
-/// the controller (estimators, and on update frames the re-solve).
+/// Controller timing of a session. By default only the update frames are
+/// timed (their controller call holds the re-solve); the clock is not read
+/// on other frames. With `per_frame` every frame is timed: the gap between
+/// consecutive frame callbacks is the perception system's own work, the
+/// callback is the controller (the estimators).
 struct FrameClock {
+  bool per_frame = false;
   std::vector<double> frame_s;
   std::vector<double> resolve_s;
   double controller_s = 0.0;
@@ -44,7 +52,7 @@ struct FrameClock {
 
 /// One session wired as monitor::run_monitor_session wires it (campaign
 /// seed = substream 0 of the session seed, drift windows, retune callback),
-/// with the controller call of every frame timed.
+/// with the controller timed as `clock` asks.
 SessionResult drive_session(const Engine& engine, const SessionConfig& config,
                             FrameClock& clock) {
   nvp::perception::NVersionPerceptionSystem::Config system_config;
@@ -64,12 +72,22 @@ SessionResult drive_session(const Engine& engine, const SessionConfig& config,
       nvp::monitor::make_policy(config.policy, config.hysteresis));
   controller.set_retune_callback(
       [&system](double interval) { system.set_rejuvenation_interval(interval); });
+  // The controller updates on the first frame at or past each multiple of
+  // update_every.
+  const double every = controller_config.update_every;
+  double next_update = every;
+  std::uint64_t timed_updates = 0;
   system.set_frame_observer(
       [&](const nvp::perception::Frame& frame,
           const std::vector<nvp::perception::ModuleAnswer>& answers,
           const nvp::perception::VoteResult&) {
+        if (!clock.per_frame && frame.time < next_update) {
+          controller.observe_frame(frame.time, config.frame_interval, answers,
+                                   frame.label);
+          return;
+        }
         const auto t0 = Clock::now();
-        if (clock.started)
+        if (clock.per_frame && clock.started)
           clock.frame_s.push_back(seconds_between(clock.last_end, t0));
         const auto resolves = controller.resolves();
         controller.observe_frame(frame.time, config.frame_interval, answers,
@@ -79,6 +97,10 @@ SessionResult drive_session(const Engine& engine, const SessionConfig& config,
         const double took = seconds_between(t0, clock.last_end);
         clock.controller_s += took;
         if (controller.resolves() != resolves) clock.resolve_s.push_back(took);
+        if (frame.time >= next_update) {
+          ++timed_updates;
+          next_update = (std::floor(frame.time / every) + 1.0) * every;
+        }
       });
 
   SessionResult result;
@@ -88,6 +110,10 @@ SessionResult drive_session(const Engine& engine, const SessionConfig& config,
   result.resolves = controller.resolves();
   result.retunes = controller.retunes();
   result.degraded_updates = controller.degraded_updates();
+  if (timed_updates != result.updates)
+    throw std::logic_error("monitor_drift timed " +
+                           std::to_string(timed_updates) + " of " +
+                           std::to_string(result.updates) + " updates");
   return result;
 }
 
@@ -127,14 +153,13 @@ Outcome run_monitor_drift(const Args& args) {
   FrameClock clock;
   std::uint64_t frames = 0;
   StageTally tally;
-  // Round i: session i of this seed, every stage cache dropped first.
-  auto round = [&](std::uint64_t i) {
+  // One session, every stage cache dropped first.
+  auto play = [&](std::uint64_t i) {
     nvp::core::clear_stage_caches();
     const std::uint64_t builds0 = builds.value();
     const auto t0 = Clock::now();
     {
       Trace::Op op(trace(), "bench.monitor::session");
-      clock.started = false;
       sessions.push_back(
           drive_session(engine, session_config(args.seed, i), clock));
     }
@@ -146,9 +171,13 @@ Outcome run_monitor_drift(const Args& args) {
     out.attempted += s.updates;
     out.failed += s.degraded_updates;
   };
+  // One round: sessions 0 .. kSessionsPerRound-1 of this seed.
+  auto round = [&] {
+    for (std::uint64_t i = 0; i < kSessionsPerRound; ++i) play(i);
+  };
   std::uint64_t rounds = 0;
   const auto start = Clock::now();
-  do round(rounds++);
+  do round(), ++rounds;
   while (seconds_between(start, Clock::now()) <
          (args.trace ? args.seconds / 2 : args.seconds));
   double wall = 0.0;
@@ -164,7 +193,7 @@ Outcome run_monitor_drift(const Args& args) {
     tally = {};
     const Counters before;
     trace().enable();
-    for (std::uint64_t i = 0; i < rounds; ++i) round(i);
+    for (std::uint64_t i = 0; i < rounds; ++i) round();
     const Counters after;
     double traced_wall = 0.0;
     for (double w : session_walls) traced_wall += w;
@@ -182,6 +211,7 @@ Outcome run_monitor_drift(const Args& args) {
     quiet.policy = "static";
     quiet.controller.update_every = 2 * quiet.duration;
     FrameClock static_clock;
+    static_clock.per_frame = true;
     const SessionResult s = drive_session(engine, quiet, static_clock);
     in.perception_frame_us_p50 = median(static_clock.frame_s) * 1e6;
     in.monitor_estimator_us_per_frame =
@@ -193,7 +223,7 @@ Outcome run_monitor_drift(const Args& args) {
   // The benchmark's session loop is the program's: replay the last session
   // through monitor::run_monitor_session (its solves are cached by now).
   const SessionResult replay = nvp::monitor::run_monitor_session(
-      engine, session_config(args.seed, rounds - 1));
+      engine, session_config(args.seed, kSessionsPerRound - 1));
   out.checks.push_back({"session_loop_matches_program",
                         [replay, last = sessions.back()](bool perturb) {
                           return same_records(replay, last, perturb);

@@ -1,8 +1,9 @@
-// nvpd_mixed: `nvpcli serve` on loopback, driven from this one thread over
-// two connections. An open-loop phase at a fixed rate (cold points,
-// repeats, points an earlier daemon left in the store, bursts of identical
-// requests), then a closed-loop phase with a fixed window of requests in
-// flight per connection.
+// nvpd_mixed: `nvpcli serve` on loopback at its default configuration (no
+// store), driven from this one thread over two connections in a closed
+// loop with a fixed window of requests in flight per connection. A traced
+// run adds an open-loop phase at a fixed rate for the load generator's
+// figures, and a store phase: one daemon process writes points to a
+// `--store`, a later one reads them back.
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
@@ -38,17 +39,19 @@ namespace fs = std::filesystem;
 
 constexpr std::size_t kConnections = 2;
 constexpr std::size_t kBurst = 4;  // identical requests sent at once
-constexpr double kOpenRate = 1000.0;  // requests per second, open loop
-constexpr std::size_t kStorePoints = 128;
-constexpr std::size_t kWindow = 128;  // closed loop: requests in flight per connection
+constexpr double kOpenRate = 200.0;  // requests per second, open loop
+constexpr std::size_t kWindow = 4;  // closed loop: requests in flight per connection
+constexpr std::size_t kStorePoints = 32;  // traced store phase
+constexpr int kDaemonStarts = 51;  // set-up: median of this many starts
 
 // ---------------------------------------------------------------------------
 // The daemon process.
 
 class Daemon {
  public:
-  /// Starts `nvpcli serve --port 0 --store <store>` with the NVP_*
-  /// overrides removed from its environment, and waits for its port.
+  /// Starts `nvpcli serve --port 0` (with `--store <store>` unless `store`
+  /// is empty) with the NVP_* overrides removed from its environment, and
+  /// waits for its port.
   Daemon(const std::string& nvpcli, const std::string& store,
          const std::string& log) {
     std::vector<std::string> env;
@@ -57,8 +60,8 @@ class Daemon {
     std::vector<char*> envp;
     for (auto& s : env) envp.push_back(s.data());
     envp.push_back(nullptr);
-    std::vector<std::string> argv_s = {nvpcli, "serve", "--port", "0",
-                                       "--store", store};
+    std::vector<std::string> argv_s = {nvpcli, "serve", "--port", "0"};
+    if (!store.empty()) argv_s.insert(argv_s.end(), {"--store", store});
     std::vector<char*> argv;
     for (auto& s : argv_s) argv.push_back(s.data());
     argv.push_back(nullptr);
@@ -156,8 +159,9 @@ class Mix {
   }
 
   /// A point no request has used yet: 4v (CTMC) or 6v (MRGP) with MTTC in
-  /// [1000, 3000] s and, for 6v, the interval in [100, 400] s (cheap solves:
-  /// the solve depth grows with the interval).
+  /// [1000, 3000] s and, for 6v, the interval in [100, 400] s. A cold 6v
+  /// point is a real solve of about 10 ms; the daemon's workers, not the
+  /// wake-ups between its threads, set the pace.
   std::size_t cold(bool six) {
     while (true) {
       const long mttc = rng_.integer(1000, 3000);
@@ -309,29 +313,29 @@ class Load {
 };
 
 /// Open loop: slot i is due at i / kOpenRate; the mix of each slot is drawn
-/// from the seed. A burst sends kBurst identical requests for one new point
-/// at the same instant.
-LoadStats open_loop(Load& load, Mix& mix, std::size_t slots,
-                    std::size_t& store_next) {
+/// from the seed: 60% a cold 6v point, 10% a cold 4v point, 5% a burst
+/// (kBurst identical requests for one new 6v point at the same instant, so
+/// the daemon coalesces them), and otherwise a repeat of an earlier point.
+/// Its median moves with how fast idle threads wake (0.16-0.44 quartile
+/// spread between runs), so it feeds only the traced run's tail figures.
+LoadStats open_loop(Load& load, Mix& mix, std::size_t slots) {
   LoadStats stats;
   const auto start = Clock::now() + std::chrono::milliseconds(5);
+  auto due_of = [&](std::size_t slot) {
+    return start + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(slot / kOpenRate));
+  };
   std::size_t slot = 0, conn = 0;
   while (slot < slots || load.in_flight() > 0) {
     const auto now = Clock::now();
-    while (slot < slots &&
-           start + std::chrono::duration<double>(slot / kOpenRate) <= now) {
-      const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(
-                                       slot / kOpenRate));
-      const double u = slot == 0 ? 1.0 : mix.uniform();
-      if (slot == 0) {
-        load.send(conn++ % kConnections, 0, due, stats);
-      } else if (u < 0.006) {
-        load.send(conn++ % kConnections, mix.cold(mix.uniform() < 0.5), due,
-                  stats);
-      } else if (u < 0.010 && store_next < kStorePoints) {
-        load.send(conn++ % kConnections, 1 + store_next++, due, stats);
-      } else if (u < 0.014) {
+    while (slot < slots && due_of(slot) <= now) {
+      const auto due = due_of(slot);
+      const double u = mix.uniform();
+      if (u < 0.60) {
+        load.send(conn++ % kConnections, mix.cold(true), due, stats);
+      } else if (u < 0.70) {
+        load.send(conn++ % kConnections, mix.cold(false), due, stats);
+      } else if (u < 0.75) {
         const std::size_t point = mix.cold(true);
         for (std::size_t i = 0; i < kBurst; ++i)
           load.send(conn++ % kConnections, point, due, stats);
@@ -340,27 +344,25 @@ LoadStats open_loop(Load& load, Mix& mix, std::size_t slots,
       }
       ++slot;
     }
-    const auto next_due =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(slot / kOpenRate));
-    load.receive(slot < slots ? next_due - Clock::now()
+    load.receive(slot < slots ? due_of(slot) - Clock::now()
                               : std::chrono::milliseconds(50),
                  stats);
   }
   return stats;
 }
 
-/// Closed loop: kWindow requests in flight per connection for `seconds`; each
-/// finished request is replaced at once by a repeat of an earlier point,
-/// or (1%) by a point the earlier daemon left in the store. No cold solves:
-/// their store writes wait on the device's flush.
-LoadStats closed_loop(Load& load, Mix& mix, double seconds,
-                      std::size_t& store_next) {
+/// Closed loop: kWindow requests in flight per connection for `seconds`;
+/// each finished request is replaced at once: 75% a cold 6v point, 5% the
+/// point sent last (often still in flight, so the daemon coalesces the
+/// two), and otherwise a repeat of an earlier point.
+LoadStats closed_loop(Load& load, Mix& mix, double seconds) {
   LoadStats stats;
+  std::size_t last = 0;
   auto next_point = [&] {
-    if (mix.uniform() < 0.01 && store_next < kStorePoints)
-      return 1 + store_next++;
-    return mix.repeat();
+    const double u = mix.uniform();
+    if (u < 0.75) last = mix.cold(true);
+    else if (u >= 0.80) last = mix.repeat();
+    return last;
   };
   const auto end = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                       std::chrono::duration<double>(seconds));
@@ -390,11 +392,10 @@ double field(const nvp::service::wire::Value& v, const char* object,
 }
 
 double seconds_to_first_answer(const std::string& nvpcli,
-                               const std::string& store,
                                const std::string& log,
                                std::unique_ptr<Daemon>* keep) {
   const auto t0 = Clock::now();
-  auto daemon = std::make_unique<Daemon>(nvpcli, store, log);
+  auto daemon = std::make_unique<Daemon>(nvpcli, "", log);
   auto client = connect_to(*daemon);
   std::string error;
   if (!client.call(2, R"({"id":2,"method":"ping"})", &error))
@@ -403,6 +404,31 @@ double seconds_to_first_answer(const std::string& nvpcli,
   client.close();
   if (keep != nullptr) *keep = std::move(daemon);
   return s;
+}
+
+/// Asks `daemon` for every point in `points` on one connection and keeps
+/// the answers; returns the number of failed requests.
+std::uint64_t ask_all(const Daemon& daemon, Mix& mix,
+                      const std::vector<std::size_t>& points) {
+  auto client = connect_to(daemon);
+  std::uint64_t failed = 0;
+  std::string error;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    Point& point = mix.points()[points[i]];
+    std::optional<nvp::service::Response> r;
+    {
+      Trace::Op op(trace(), "bench.service::Client::call");
+      r = client.call(10 + i, analyze_request(10 + i, point), &error);
+    }
+    const auto* value = r && r->ok && r->result != nullptr
+                            ? r->result->get("expected_reliability")
+                            : nullptr;
+    if (value != nullptr && value->is_number())
+      point.answers.push_back(value->as_number());
+    else
+      ++failed;
+  }
+  return failed;
 }
 
 /// Replays the store's entries through store::Store::get and ::put (into
@@ -445,76 +471,88 @@ std::pair<double, double> replay_store(const std::string& dir,
   return {median(get_s) * 1e3, median(put_s) * 1e3};
 }
 
+/// The traced store phase: a daemon with `--store` solves kStorePoints
+/// cold points and writes them; a later daemon process is asked the same
+/// points and reads them from the store. Then the entries are replayed
+/// in-process through Store::get and ::put.
+void store_phase(const Args& args, Mix& mix, LayerInputs& in, Outcome& out) {
+  const std::string store = args.out_dir + "/nvpd-store";
+  const std::string log = args.out_dir + "/nvpd-store.log";
+  fs::remove_all(store);
+  std::vector<std::size_t> points;
+  for (std::size_t i = 0; i < kStorePoints; ++i)
+    points.push_back(mix.cold(true));
+  for (int pass = 0; pass < 2; ++pass) {
+    Daemon daemon(args.nvpcli, store, log);
+    auto client = connect_to(daemon);
+    const auto before = daemon_stats(client);
+    out.attempted += points.size();
+    out.failed += ask_all(daemon, mix, points);
+    const auto after = daemon_stats(client);
+    if (pass == 0)
+      in.store_bytes_written =
+          field(after, "store", "bytes") - field(before, "store", "bytes");
+    else
+      in.store_entries_read =
+          field(after, "store", "hits") - field(before, "store", "hits");
+  }
+  std::tie(in.store_get_ms_p50, in.store_put_ms_p50) =
+      replay_store(store, args.out_dir + "/nvpd-store-copy");
+}
+
 }  // namespace
 
 Outcome run_nvpd_mixed(const Args& args) {
   if (args.nvpcli.empty()) throw std::runtime_error("--nvpcli is required");
   Outcome out;
-  const std::string store = args.out_dir + "/nvpd-store";
   const std::string log = args.out_dir + "/nvpd.log";
-  fs::remove_all(store);
   Mix mix(args.seed);
 
-  // An earlier daemon process solves the store points and leaves them in
-  // the store.
-  for (std::size_t i = 0; i < kStorePoints; ++i) mix.cold(true);
-  {
-    Daemon seeder(args.nvpcli, store, log);
-    auto client = connect_to(seeder);
-    std::string error;
-    for (std::size_t i = 0; i < kStorePoints; ++i) {
-      auto r = client.call(10 + i, analyze_request(10 + i, mix.points()[1 + i]),
-                           &error);
-      if (!r || !r->ok) throw std::runtime_error("store seeding failed");
-    }
-  }
-
-  // Set-up: daemon start until its first answer, five times; the last
-  // daemon serves the run.
+  // Set-up: daemon start until its first answer; the last daemon serves
+  // the run.
   std::unique_ptr<Daemon> daemon;
   std::vector<double> starts;
-  for (int i = 0; i < 5; ++i)
-    starts.push_back(seconds_to_first_answer(args.nvpcli, store, log,
-                                             i == 4 ? &daemon : nullptr));
+  for (int i = 0; i < kDaemonStarts; ++i)
+    starts.push_back(seconds_to_first_answer(
+        args.nvpcli, log, i == kDaemonStarts - 1 ? &daemon : nullptr));
   std::vector<nvp::service::Client> conns;
   for (std::size_t c = 0; c < kConnections; ++c)
     conns.push_back(connect_to(*daemon));
   const auto stats0 = daemon_stats(conns[0]);
+  // Point 0, the paper's 4v default, first: repeats draw from the points
+  // already asked.
+  out.attempted = 1;
+  out.failed = ask_all(*daemon, mix, {0});
+  mix.mark_issued(0);
 
-  // Open loop at least 1000 requests (the p99 rule), 60% of the run; the
-  // closed loop takes the rest.
-  const std::size_t slots =
-      std::max<std::size_t>(1000, std::size_t(kOpenRate * 0.6 * args.seconds));
-  std::size_t store_next = 0;
   Load load(conns, mix, false);
-  const LoadStats open = open_loop(load, mix, slots, store_next);
-  const double closed_seconds = 0.4 * args.seconds;
-  LoadStats closed =
-      closed_loop(load, mix, args.trace ? closed_seconds / 2 : closed_seconds,
-                  store_next);
   auto rate = [](const LoadStats& s) {
     return double(s.latency_s.size()) /
            seconds_between(s.first_send, s.last_response);
   };
-  out.attempted = open.attempted + closed.attempted;
-  out.failed = open.failed + closed.failed;
-
   if (!args.trace) {
+    const LoadStats closed = closed_loop(load, mix, args.seconds);
+    out.attempted += closed.attempted;
+    out.failed += closed.failed;
     out.set("setup_s", median(starts), "s");
     out.set("throughput_per_s", rate(closed), "1/s");
-    out.set("latency_p50_ms", median(open.latency_s) * 1e3, "ms");
+    out.set("latency_p50_ms", median(closed.latency_s) * 1e3, "ms");
     out.set("peak_rss_mb", peak_rss_mb_of(daemon->pid()), "MiB");
   } else {
+    // Open loop, untraced, at least 1000 requests (the p99 rule); then the
+    // closed loop for half the run untraced and half traced.
+    const LoadStats open = open_loop(load, mix, 1000);
+    const LoadStats closed = closed_loop(load, mix, args.seconds / 2);
+    out.attempted += open.attempted + closed.attempted;
+    out.failed += open.failed + closed.failed;
     LayerInputs in;
-    in.service_layers = true;
     in.loadgen_latency_p99_ms =
         quantile(open.latency_s, 0.99).value_or(0.0) * 1e3;
     in.loadgen_lag_ms_p99 = quantile(open.lag_s, 0.99).value_or(0.0) * 1e3;
     const Counters before;
     trace().enable();
     Load traced_load(conns, mix, true);
-    const LoadStats traced =
-        closed_loop(traced_load, mix, closed_seconds / 2, store_next);
+    const LoadStats traced = closed_loop(traced_load, mix, args.seconds / 2);
     out.attempted += traced.attempted;
     out.failed += traced.failed;
     in.trace_overhead = rate(closed) / rate(traced);
@@ -536,10 +574,6 @@ Outcome run_nvpd_mixed(const Args& args) {
         field(stats1, "service", "executed") - field(stats0, "service", "executed");
     in.service_coalesced = field(stats1, "service", "coalesced") -
                            field(stats0, "service", "coalesced");
-    in.store_entries_read =
-        field(stats1, "store", "hits") - field(stats0, "store", "hits");
-    in.store_bytes_written =
-        field(stats1, "store", "bytes") - field(stats0, "store", "bytes");
     StageTally tally;
     const auto* c0 = stats0.get("caches");
     const auto* c1 = stats1.get("caches");
@@ -554,8 +588,7 @@ Outcome run_nvpd_mixed(const Args& args) {
     }
     for (auto& c : conns) c.close();
     daemon->stop();
-    std::tie(in.store_get_ms_p50, in.store_put_ms_p50) =
-        replay_store(store, args.out_dir + "/nvpd-store-copy");
+    store_phase(args, mix, in, out);
     const Counters after;
     set_layer_metrics(out, in, before, after, tally);
     trace().write(args.out_dir + "/trace-nvpd_mixed.jsonl");

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Steadiness check: two interleaved sets of runs of every workload.
 
-    python3 perfbench/steady.py [--runs 10] [--workloads a,b] [--seconds S]
+    python3 perfbench/steady.py [--runs 10] [--workloads a,b]
 
 For each workload, runs i = 1..N of set A and set B alternate (A first on
-odd i, B first on even i), each with its own seed. For every end-to-end
-metric it prints both sets' median and quartiles, the quartile spread as a
-share of the median, and whether the sets agree within the metric's bound
-in BENCHMARK.json: each spread (except setup_s) within the bound, the
-second median no worse than the first by more than the bound, and the same
-share of failed operations in both sets. Exit code 1 when any disagrees.
+odd i, B first on even i), each with its own seed and BENCHMARK.json's
+run_seconds. For every end-to-end metric it prints both sets' median and
+quartiles, the quartile spread as a share of the median, and whether the
+sets agree within the metric's bound in BENCHMARK.json: each spread within
+the bound, the two medians apart by no more than the bound (either way),
+and the same share of failed operations in both sets. The spread of
+setup_s is printed but not judged: a set-up of 0.3-5 ms moves 15-35%
+between processes on a shared machine, so only its median is held to the
+bound. Exit code 1 when any disagrees.
 """
 
 import argparse
@@ -31,7 +34,8 @@ def spread(values):
 
 
 def worse_by(first, second, better):
-    """How much worse `second` is than `first`, as a share of `first`."""
+    """How much worse `second` is than `first`, as a share of `first`
+    (negative when it is better)."""
     if first == 0:
         return 0.0 if second == first else float("inf")
     change = (second - first) / first
@@ -48,7 +52,7 @@ def judge(metric, a_values, b_values):
     return {
         "name": metric["name"], "unit": metric["unit"], "bound": bound,
         "a": qa, "b": qb, "shift": shift,
-        "ok": spreads_ok and shift <= bound,
+        "ok": spreads_ok and abs(shift) <= bound,
     }
 
 
@@ -67,11 +71,8 @@ def main():
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--workloads",
                         default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--out", help="also write the verdicts as JSON here")
     args = parser.parse_args()
 
-    verdicts = {}
     all_ok = True
     for workload in args.workloads.split(","):
         sets = {"A": [], "B": []}
@@ -79,18 +80,17 @@ def main():
             order = ("A", "B") if i % 2 == 0 else ("B", "A")
             for name in order:
                 seed = (1 if name == "A" else 1001) + i
-                sets[name].append(one_run(workload, seed, args.seconds))
+                sets[name].append(one_run(workload, seed,
+                                          spec["run_seconds"]))
                 print(f"{workload} set {name} run {i + 1}/{args.runs} done",
                       file=sys.stderr)
         print(f"\n{workload}")
         print(f"  {'metric':<18} {'A q1/med/q3':>32} {'spread':>7} "
               f"{'B q1/med/q3':>32} {'spread':>7} {'shift':>7} {'bound':>6}")
-        rows = []
         for metric in spec["end_to_end"]:
             a = [r["metrics"][metric["name"]]["value"] for r in sets["A"]]
             b = [r["metrics"][metric["name"]]["value"] for r in sets["B"]]
             row = judge(metric, a, b)
-            rows.append(row)
             all_ok = all_ok and row["ok"]
             fmt = "{:.4g}/{:.4g}/{:.4g}"
             print(f"  {row['name']:<18} {fmt.format(*row['a'][:3]):>32} "
@@ -104,10 +104,6 @@ def main():
         all_ok = all_ok and same_share
         print(f"  failed share: A {shares['A']:.6g}  B {shares['B']:.6g}  "
               f"{'ok' if same_share else 'NO'}")
-        verdicts[workload] = {"metrics": rows, "failed_share": shares}
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(verdicts, f, indent=1)
     print("\nsteady" if all_ok else "\nNOT steady")
     sys.exit(0 if all_ok else 1)
 

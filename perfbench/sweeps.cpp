@@ -176,7 +176,7 @@ Outcome run_mttc_sweep_n40(const Args& args) {
   params.max_faulty = 2;
   params.max_rejuvenating = 4;
   SweepSpec spec{"mttc_sweep_n40", params,
-                 nvp::core::set_mean_time_to_compromise(), {}, 5};
+                 nvp::core::set_mean_time_to_compromise(), {}, 11};
   // Four MTTC points, one in each quarter of [1000, 3000] s.
   Rng rng(args.seed, 2);
   for (int i = 0; i < 4; ++i)

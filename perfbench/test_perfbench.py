@@ -53,16 +53,21 @@ class Quartiles(unittest.TestCase):
         self.assertTrue(steady.judge(metric, same, same)["ok"])
         slower = [v * 1.2 for v in same]
         self.assertFalse(steady.judge(metric, same, slower)["ok"])
+        # A shift past the bound fails either way.
         faster = [v * 0.8 for v in same]
-        self.assertTrue(steady.judge(metric, same, faster)["ok"])
+        self.assertFalse(steady.judge(metric, same, faster)["ok"])
+        self.assertTrue(steady.judge(metric, same,
+                                     [v * 0.95 for v in same])["ok"])
         wide = [50.0, 150.0] * 5
         self.assertFalse(steady.judge(metric, wide, wide)["ok"])
 
-    def test_setup_spread_is_not_judged(self):
+    def test_setup_is_judged_on_its_median_only(self):
         metric = {"name": "setup_s", "unit": "s", "better": "lower",
                   "bound": 0.25}
         wide = [0.5, 1.5] * 5
         self.assertTrue(steady.judge(metric, wide, wide)["ok"])
+        self.assertFalse(steady.judge(metric, wide,
+                                      [v * 0.7 for v in wide])["ok"])
 
 
 class Workloads(unittest.TestCase):
@@ -111,17 +116,23 @@ class Workloads(unittest.TestCase):
                            0)
         return result["metrics"]
 
-    def test_traced_run_reports_every_layer(self):
-        metrics = self.traced("monitor_drift")
+    def check_layers(self, metrics):
         self.assertEqual(set(metrics), {m["name"] for m in SPEC["per_layer"]})
         for metric in SPEC["per_layer"]:
             self.assertEqual(metrics[metric["name"]]["unit"], metric["unit"])
+
+    def test_traced_monitor_reports_every_layer(self):
+        metrics = self.traced("monitor_drift")
+        self.check_layers(metrics)
         self.assertGreater(metrics["monitor.resolves"]["value"], 0)
 
-    def test_traced_nvpd_adds_service_layers(self):
+    def test_traced_nvpd_reports_service_and_store(self):
         metrics = self.traced("nvpd_mixed")
-        for name in ("store.put_ms_p50", "service.rtt_ms_p50",
-                     "service.executed", "loadgen.latency_p99_ms"):
+        self.check_layers(metrics)
+        for name in ("store.put_ms_p50", "store.get_ms_p50",
+                     "store.bytes_written", "store.entries_read",
+                     "service.rtt_ms_p50", "service.executed",
+                     "service.coalesced", "loadgen.latency_p99_ms"):
             self.assertGreater(metrics[name]["value"], 0, name)
 
 
