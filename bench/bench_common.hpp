@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -95,6 +96,31 @@ inline std::string utc_date() {
   char buf[16];
   std::strftime(buf, sizeof(buf), "%Y-%m-%d", &tm);
   return buf;
+}
+
+/// The machine a result was recorded on, as a "machine" object: logical
+/// CPUs, CMake build type, compiler and the git SHA the binary was built
+/// from — what a timing needs to be compared with another.
+inline void machine_block(obs::JsonWriter& json) {
+#ifdef NVP_BUILD_TYPE
+  const char* build_type = NVP_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  json.key("machine").begin_object();
+  json.kv("nproc",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.kv("build_type", std::string(build_type));
+  json.kv("compiler", compiler);
+  json.kv("git_sha", std::string(obs::build_git_sha()));
+  json.end_object();
 }
 
 /// Builder for a per-bench JSON result document in the same shape as

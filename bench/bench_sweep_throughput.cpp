@@ -140,9 +140,11 @@ void report_case(const SweepCase& c, const CaseResult& r,
                  bench::JsonResult& json) {
   const double speedup = r.staged_ms > 0.0 ? r.cold_ms / r.staged_ms : 0.0;
   std::printf("\n%s — %s\n", c.id.c_str(), c.what.c_str());
-  std::printf("  cold per-point : %8.2f ms  (%llu explorations, %llu "
-              "solves)\n",
-              r.cold_ms, static_cast<unsigned long long>(r.cold_explorations),
+  const double points = static_cast<double>(c.values.size());
+  std::printf("  cold           : %8.2f ms  (%.2f ms per point; %llu "
+              "explorations, %llu solves)\n",
+              r.cold_ms, r.cold_ms / points,
+              static_cast<unsigned long long>(r.cold_explorations),
               static_cast<unsigned long long>(r.cold_solves));
   std::printf("  staged         : %8.2f ms  (%llu exploration%s, %llu "
               "solve%s)\n",
@@ -164,8 +166,9 @@ void report_case(const SweepCase& c, const CaseResult& r,
               static_cast<unsigned long long>(r.stats.reward_table.misses));
   json.section(
       c.id, c.what,
-      {{"points", static_cast<double>(c.values.size())},
-       {"cold_per_point_ms", r.cold_ms},
+      {{"points", points},
+       {"cold_ms", r.cold_ms},
+       {"cold_per_point_ms", r.cold_ms / points},
        {"staged_ms", r.staged_ms},
        {"speedup", speedup},
        {"staged_explorations", static_cast<double>(r.staged_explorations)},

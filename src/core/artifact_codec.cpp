@@ -19,8 +19,9 @@ using store::Writer;
 // Structure v2: per-group state classes (module-group models). The other
 // three layouts are unchanged by the module-group refactor — their store
 // keys were version-bumped instead, so pre-refactor entries simply stop
-// being addressed and expire.
-constexpr std::uint32_t kStructureSchema = 2;
+// being addressed and expire. Structure v3: the assembly plan no longer
+// carries a state lumping.
+constexpr std::uint32_t kStructureSchema = 3;
 constexpr std::uint32_t kRatesSchema = 1;
 constexpr std::uint32_t kRewardTableSchema = 1;
 constexpr std::uint32_t kAnalysisSchema = 1;
@@ -148,8 +149,6 @@ std::vector<std::uint8_t> encode_structure_artifact(
     w.vec_char(g.in_set);
     write_pattern(w, g.subordinated);
   }
-  w.vec_sizes(plan.lumping);
-  w.u64(plan.lumping_classes);
 
   // (i, j, k) classification (plus per-group counts for heterogeneous
   // structures).
@@ -211,8 +210,6 @@ std::shared_ptr<const StructureArtifact> decode_structure_artifact(
     check(g.in_set.size() == n, "group mask does not match state count");
     g.subordinated = read_pattern(r);
   }
-  plan.lumping = r.vec_sizes();
-  plan.lumping_classes = static_cast<std::size_t>(r.u64());
 
   auto artifact = std::make_shared<StructureArtifact>();
   const std::uint64_t class_rows = r.u64();
@@ -244,8 +241,6 @@ std::shared_ptr<const StructureArtifact> decode_structure_artifact(
         "class map does not match state count");
   for (std::size_t ci : artifact->class_of_state)
     check(ci < artifact->classes.size(), "class index out of range");
-  check(plan.lumping.empty() || plan.lumping.size() == n,
-        "lumping does not match state count");
   r.expect_done();
 
   // Re-pour the concrete net's rates through the deserialized skeleton —

@@ -189,9 +189,9 @@ std::uint64_t rates_stage_key(
         .f64(g.mean_time_to_repair)
         .f64(g.repair_degradation);
   // Every solver knob changes the solve's floating-point path (backend,
-  // chain order, GMRES controls, warm start ...), so distributions must
-  // never alias across configs; the canonical hash covers the complete
-  // SolverConfig in one schema-tagged value.
+  // chain order, GMRES controls ...), so distributions must never alias
+  // across configs; the canonical hash covers the complete SolverConfig in
+  // one schema-tagged value.
   h.u64(solver.canonical_hash());
   return h.digest();
 }
@@ -300,13 +300,6 @@ std::shared_ptr<const StructureArtifact> staged_structure(
         artifact->class_of_state[s] =
             class_index.at(artifact->state_class[s].groups);
     }
-    // Hand the (i, j, k) classification to the solver as the assembly
-    // plan's lumping hint: matrix-free solves warm-start from the lumped
-    // chain's stationary vector (see lumped_warm_start). The class count
-    // stays O(N^2) while states grow much faster, so the hint is cheap to
-    // carry on every cached structure.
-    artifact->plan.lumping = artifact->class_of_state;
-    artifact->plan.lumping_classes = artifact->classes.size();
     return artifact;
   };
   if (!use_cache) return build();

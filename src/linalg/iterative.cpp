@@ -352,20 +352,14 @@ IterativeResult gmres(const LinearOperator& a, const Vector& b,
 namespace {
 
 /// Power-iteration body shared by the matrix and matrix-free entry points:
-/// `step` computes the left action x -> x^T P. Matrix instantiations call it
-/// with a null x0 so they remain bit-identical to the pre-operator code.
+/// `step` computes the left action x -> x^T P, iterated from the uniform
+/// vector.
 template <typename Step>
 IterativeResult stationary_core(std::size_t n, const Step& step,
-                                const IterativeOptions& opts,
-                                const Vector* x0) {
+                                const IterativeOptions& opts) {
   NVP_EXPECTS(n > 0);
   IterativeResult res;
-  if (x0 != nullptr) {
-    NVP_EXPECTS(x0->size() == n);
-    res.x = *x0;
-  } else {
-    res.x.assign(n, 1.0 / static_cast<double>(n));
-  }
+  res.x.assign(n, 1.0 / static_cast<double>(n));
   if (fault::fire(fault::Site::kPowerIteration)) {
     res.residual = std::numeric_limits<double>::infinity();
     return res;
@@ -397,8 +391,7 @@ IterativeResult stationary_impl(const Matrix& p,
                                 const IterativeOptions& opts) {
   NVP_EXPECTS(p.rows() == p.cols());
   return stationary_core(
-      p.rows(), [&](const Vector& x) { return p.left_multiply(x); }, opts,
-      nullptr);
+      p.rows(), [&](const Vector& x) { return p.left_multiply(x); }, opts);
 }
 
 }  // namespace
@@ -414,12 +407,10 @@ IterativeResult stationary_power_iteration(const DenseMatrix& p,
 }
 
 IterativeResult stationary_power_iteration(const LinearOperator& p_left,
-                                           const IterativeOptions& opts,
-                                           const Vector* x0) {
+                                           const IterativeOptions& opts) {
   NVP_EXPECTS(p_left.rows() == p_left.cols());
   return stationary_core(
-      p_left.rows(), [&](const Vector& x) { return p_left.apply(x); }, opts,
-      x0);
+      p_left.rows(), [&](const Vector& x) { return p_left.apply(x); }, opts);
 }
 
 }  // namespace nvp::linalg

@@ -100,11 +100,8 @@ IterativeResult stationary_power_iteration(const DenseMatrix& p,
 
 /// Matrix-free variant: `p_left` must implement the *left* action of the
 /// chain, apply(x) = x^T P (the natural operation for probability-vector
-/// propagation, matching what a transfer operator computes). `x0`, when
-/// given, replaces the uniform starting vector; it must be a probability
-/// vector.
+/// propagation, matching what a transfer operator computes).
 IterativeResult stationary_power_iteration(const LinearOperator& p_left,
-                                           const IterativeOptions& opts = {},
-                                           const Vector* x0 = nullptr);
+                                           const IterativeOptions& opts = {});
 
 }  // namespace nvp::linalg

@@ -60,8 +60,8 @@ enum class SteadyStateMethod {
 ///    linalg::LinearOperator whose action runs one sparse-uniformization
 ///    propagation per deterministic group (see matrix_free.hpp). The only
 ///    backend that scales MRGPs to 10^4-10^5 states.
-///  * kAuto       — pick by tangible state count and model class (see
-///    SolverConfig's sparse_threshold / mrgp_matrix_free_threshold).
+///  * kAuto       — pure CTMCs by tangible state count (SolverConfig's
+///    sparse_threshold), MRGPs by a cost model (see dispatch_backend).
 enum class SolverBackend { kAuto, kDense, kSparse, kMatrixFree };
 
 /// "auto" / "dense" / "sparse" / "mfree".

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/fault/error.hpp"
 #include "src/fault/injector.hpp"
+#include "src/linalg/poisson.hpp"
 #include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/dtmc.hpp"
 #include "src/markov/erlangization.hpp"
@@ -216,7 +219,7 @@ Vector solve_mrgp_sparse(const petri::TangibleReachabilityGraph& g,
 // EmbeddedChainOperator answers x -> x P through one sparse-uniformization
 // propagation per deterministic group (see matrix_free.hpp), and the
 // stationary vector comes from unpreconditioned GMRES / power iteration on
-// that operator, optionally warm-started from the model-layer lumping.
+// that operator.
 
 Vector solve_mrgp_matrix_free(const petri::TangibleReachabilityGraph& g,
                               const AssemblyPlan& plan,
@@ -233,36 +236,10 @@ Vector solve_mrgp_matrix_free(const petri::TangibleReachabilityGraph& g,
   Vector rhs(n, 0.0);
   rhs[n - 1] = 1.0;
 
-  // Warm start from the model-layer lumping when the plan carries one.
-  // Strictly an iterate-path optimization: any failure here falls back to
-  // the cold start, never to a wrong answer. Probing the lumped chain costs
-  // one operator application per class while a cold Krylov solve converges
-  // in a few dozen, so the start only pays for lumpings much coarser than
-  // the iteration budget — beyond the cap the cold start is strictly
-  // faster and we skip the probe entirely.
-  constexpr std::size_t kWarmStartMaxClasses = 96;
-  Vector guess;
-  const Vector* initial_guess = nullptr;
-  if (options.lumped_warm_start && plan.lumping_classes > 0 &&
-      plan.lumping_classes <= kWarmStartMaxClasses &&
-      plan.lumping.size() == n) {
-    static obs::Counter& warm_starts =
-        obs::Registry::global().counter("markov.solver.warm_starts");
-    try {
-      const obs::ScopedSpan warm_span("markov.mfree.warm_start");
-      guess = lumped_warm_start(chain, plan.lumping, plan.lumping_classes);
-      initial_guess = &guess;
-      warm_starts.add();
-    } catch (const std::exception&) {
-      // cold start
-    }
-  }
-
   StationaryProblem problem;
   problem.rhs = &rhs;
   problem.balance_op = &balance;
   problem.transfer_op = &transfer;
-  problem.initial_guess = initial_guess;
   problem.states = n;
   problem.what = "matrix-free MRGP stationary solve";
 
@@ -301,16 +278,125 @@ const char* backend_span(SolverBackend backend) {
 
 }  // namespace
 
-SolverBackend dispatch_backend(const SolverConfig& config, std::size_t states,
-                               bool has_deterministic) {
+DispatchInputs dispatch_inputs(const petri::TangibleReachabilityGraph& g,
+                               const AssemblyPlan& plan) {
+  DispatchInputs inputs;
+  inputs.states = g.size();
+  inputs.has_deterministic = plan.has_deterministic;
+  inputs.groups.reserve(plan.groups.size());
+  for (const AssemblyPlan::Group& group : plan.groups) {
+    DispatchInputs::Group entry;
+    double lambda = 0.0;
+    for (std::size_t s : group.members) {
+      // Self-loops cancel on the subordinated diagonal, so they neither
+      // store a slot nor raise the uniformization rate.
+      double exit = 0.0;
+      for (const petri::RateEdge& e : g.exponential_edges(s)) {
+        if (e.target == s) continue;
+        exit += e.rate;
+        ++entry.nonzeros;
+      }
+      if (!g.exponential_edges(s).empty()) ++entry.nonzeros;  // diagonal
+      lambda = std::max(lambda, exit);
+    }
+    entry.rate_horizon =
+        lambda * g.deterministics(group.members[0])[0].delay;
+    inputs.groups.push_back(entry);
+  }
+  return inputs;
+}
+
+namespace {
+
+// Cost-model constants, a least-squares fit in log space to the cells of
+// bench_layers' grid where neither backend wins by more than 5x — the
+// cells the choice can get wrong (Release, one thread;
+// bench_results/BENCH_layers.json). Each dense product costs n^3 flops
+// plus an O(n^2) pass; the operator's GMRES iteration count grows with n
+// and falls with the horizon, which the two exponents carry.
+constexpr double kDenseSecondsPerFlop = 1.6e-10;
+constexpr double kDensePerProductOverhead = 20.0;  // in n^2 units
+constexpr double kMfreeSecondsPerSlot = 1.3e-8;
+constexpr double kMfreeStatesExponent = 0.2;
+constexpr double kMfreeHorizonExponent = -0.2;
+
+/// Doublings matrix_exponential_pair runs for a Poisson mean, and the
+/// Poisson mean of its base step.
+std::pair<double, double> doubling_schedule(double rate_horizon) {
+  int doublings = 0;
+  double base = rate_horizon;
+  while (base > 1.0) {
+    base /= 2.0;
+    ++doublings;
+  }
+  return {static_cast<double>(doublings), base};
+}
+
+}  // namespace
+
+MrgpCostEstimate estimate_mrgp_costs(const DispatchInputs& inputs,
+                                     std::size_t dense_limit) {
+  const double n = static_cast<double>(inputs.states);
+  MrgpCostEstimate estimate;
+
+  if (inputs.states > dense_limit) {
+    estimate.dense_seconds = std::numeric_limits<double>::infinity();
+  } else {
+    double products = 1.0;  // the LU factorization
+    for (const DispatchInputs::Group& group : inputs.groups) {
+      if (!(group.rate_horizon > 0.0)) continue;
+      const auto [doublings, base] = doubling_schedule(group.rate_horizon);
+      products +=
+          static_cast<double>(linalg::poisson_terms(base, 1e-16).truncation) +
+          2.0 * doublings;
+    }
+    estimate.dense_seconds = kDenseSecondsPerFlop *
+                             (n * n * n + kDensePerProductOverhead * n * n) *
+                             products;
+  }
+
+  double horizon = 0.0;
+  for (const DispatchInputs::Group& group : inputs.groups)
+    horizon = std::max(horizon, group.rate_horizon);
+  const double per_slot = kMfreeSecondsPerSlot *
+                          std::pow(n, kMfreeStatesExponent) *
+                          std::pow(1.0 + horizon, kMfreeHorizonExponent);
+  // Operator slots per application, with each truncation depth first
+  // replaced by its lower bound (K >= rate_horizon). The exact depths cost
+  // time and memory linear in rate_horizon to compute, so they are only
+  // computed when the choice can hinge on them: never above the dense
+  // limit, nor when even the lower bound loses to dense (which bounds
+  // rate_horizon by the dense solve's own cost).
+  const auto slots = [&](bool exact) {
+    double total = n;
+    for (const DispatchInputs::Group& group : inputs.groups) {
+      double terms = group.rate_horizon;
+      if (exact && group.rate_horizon > 0.0)
+        terms = static_cast<double>(
+            linalg::poisson_terms(group.rate_horizon, 1e-16).truncation);
+      total += (terms + 1.0) * (static_cast<double>(group.nonzeros) + 2.0 * n);
+    }
+    return total;
+  };
+  estimate.matrix_free_seconds = per_slot * slots(false);
+  if (estimate.matrix_free_seconds < estimate.dense_seconds &&
+      std::isfinite(estimate.dense_seconds))
+    estimate.matrix_free_seconds = per_slot * slots(true);
+  return estimate;
+}
+
+SolverBackend dispatch_backend(const SolverConfig& config,
+                               const DispatchInputs& inputs) {
   if (config.backend != SolverBackend::kAuto) return config.backend;
-  if (!has_deterministic)
-    return states >= config.sparse_threshold ? SolverBackend::kSparse
-                                             : SolverBackend::kDense;
+  if (!inputs.has_deterministic)
+    return inputs.states >= config.sparse_threshold ? SolverBackend::kSparse
+                                                    : SolverBackend::kDense;
   // MRGP: the explicit embedded chain is near-dense, so the explicit-sparse
-  // assembly never wins a crossover — kAuto goes straight from the dense
-  // oracle to the matrix-free operator.
-  return states >= config.mrgp_matrix_free_threshold
+  // assembly never wins — kAuto chooses between the dense oracle and the
+  // matrix-free operator by predicted cost.
+  const MrgpCostEstimate cost =
+      estimate_mrgp_costs(inputs, config.dense_retry_limit);
+  return cost.matrix_free_seconds < cost.dense_seconds
              ? SolverBackend::kMatrixFree
              : SolverBackend::kDense;
 }
@@ -372,8 +458,9 @@ DspnSteadyStateResult DspnSteadyStateSolver::solve(
 
   DspnSteadyStateResult result;
   result.states = n;
-  result.backend_used =
-      dispatch_backend(options_, n, g.has_deterministic());
+  result.backend_used = options_.backend == SolverBackend::kAuto
+                            ? dispatch_backend(options_, dispatch_inputs(g, plan))
+                            : options_.backend;
 
   static obs::Counter& ctmc_solves =
       obs::Registry::global().counter("markov.solver.ctmc_solves");

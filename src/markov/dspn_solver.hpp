@@ -32,16 +32,6 @@ struct AssemblyPlan {
   /// Ordered by deterministic transition index (the iteration order the
   /// fused solver used).
   std::vector<Group> groups;
-
-  /// Optional state lumping for matrix-free warm starts: class_of_state
-  /// (size `states`) and the class count. build_assembly_plan leaves it
-  /// empty — the partition is model-layer knowledge (the (i, j, k)
-  /// classification of homogeneous perception models, or the per-group
-  /// count-vector classification of module-group models; the indices here
-  /// are opaque either way) that the staged pipeline fills in after
-  /// classification. Solvers must treat it as a hint only.
-  std::vector<std::size_t> lumping;
-  std::size_t lumping_classes = 0;
 };
 
 /// Builds the assembly plan of a graph's structure.
@@ -96,8 +86,8 @@ struct DspnSteadyStateResult {
 /// sparse path (CSR assembly from the reachability graph, per-row vector
 /// uniformization fanned out on the runtime pool, Krylov stationary
 /// solves), and a matrix-free path that never assembles the embedded chain
-/// (see matrix_free.hpp). kAuto switches on the state count and model
-/// class — see dispatch_backend().
+/// (see matrix_free.hpp). kAuto picks by model class and a cost model of
+/// the two MRGP backends — see dispatch_backend().
 class DspnSteadyStateSolver {
  public:
   /// All solver knobs now live in the shared markov::SolverConfig value
@@ -125,14 +115,65 @@ class DspnSteadyStateSolver {
   Options options_{};
 };
 
-/// The backend a config resolves to for a model of `states` tangible states
-/// (never kAuto): an explicit backend wins; kAuto picks dense below the
-/// class threshold, kSparse at/above sparse_threshold for pure CTMCs (their
-/// generators are O(n) sparse), and kMatrixFree at/above
-/// mrgp_matrix_free_threshold for MRGPs (their *embedded chains* are
-/// near-dense, so explicit sparse assembly never wins — it stays reachable
-/// only when forced).
-SolverBackend dispatch_backend(const SolverConfig& config, std::size_t states,
-                               bool has_deterministic);
+/// What the kAuto cost model reads of a model. Every field is a pure
+/// function of the graph and its rates — never of measured time — so a
+/// dispatch decision is reproducible across runs, job counts, processes and
+/// the staged/cold paths. dispatch_inputs() fills it in O(edges).
+struct DispatchInputs {
+  std::size_t states = 0;
+  bool has_deterministic = false;
+  /// One entry per deterministic group (empty for pure CTMCs).
+  struct Group {
+    /// Stored nonzeros of the group's subordinated generator Q_d (its
+    /// members' off-diagonal rates plus one diagonal slot each).
+    std::size_t nonzeros = 0;
+    /// Poisson mean lambda_d * tau_d of the group's uniformization: the
+    /// largest member exit rate times the deterministic delay. The
+    /// matrix-free propagation runs poisson_terms(rate_horizon).truncation
+    /// terms per application (EmbeddedChainOperator::max_truncation()); the
+    /// dense matrix exponential needs about log2(rate_horizon) doublings.
+    double rate_horizon = 0.0;
+  };
+  std::vector<Group> groups;
+};
+
+/// The cost-model inputs of a graph and its assembly plan.
+DispatchInputs dispatch_inputs(const petri::TangibleReachabilityGraph& g,
+                               const AssemblyPlan& plan);
+
+/// Predicted wall-clock seconds of one MRGP stationary solve on the dense
+/// and on the matrix-free backend (single thread, Release build), fit to
+/// bench_layers' grid (bench_results/BENCH_layers.json):
+///
+///   dense = b_d * (n^3 + 20 n^2) * (1 + sum_g (B_g + 2 D_g))
+///   mfree = b_m * n^0.2 * (1 + max_g lt_g)^-0.2
+///               * (n + sum_g (K_g + 1) * (nnz_g + 2 n))
+///
+/// where lt_g is the group's rate_horizon, D_g the number of halvings that
+/// bring it to <= 1, B_g the Poisson terms of that base step, and K_g the
+/// group's truncation depth. Dense pays the LU and one n x n product per
+/// base term and two per doubling; the operator pays one sparse
+/// propagation of K_g terms per group per Krylov iteration, and the
+/// iteration count grows with n and falls with the horizon. Above
+/// `dense_limit` states the dense estimate is +infinity. K_g is computed
+/// only when dense is finite and its lower bound lt_g does not already
+/// price the operator out; otherwise matrix_free_seconds holds the
+/// lower-bound estimate.
+struct MrgpCostEstimate {
+  double dense_seconds = 0.0;
+  double matrix_free_seconds = 0.0;
+};
+MrgpCostEstimate estimate_mrgp_costs(const DispatchInputs& inputs,
+                                     std::size_t dense_limit);
+
+/// The backend a config resolves to (never kAuto): an explicit backend
+/// wins. For pure CTMCs kAuto picks kSparse at or above sparse_threshold
+/// states (their generators are O(n) sparse) and dense below. For MRGPs it
+/// picks whichever of dense and matrix-free the cost model predicts faster,
+/// never dense above dense_retry_limit states; the explicit-sparse MRGP
+/// assembly (its embedded chain is near-dense) is reachable only when
+/// forced.
+SolverBackend dispatch_backend(const SolverConfig& config,
+                               const DispatchInputs& inputs);
 
 }  // namespace nvp::markov

@@ -1,15 +1,13 @@
 // Matrix-free MRGP solves and the unified SolverConfig API: LinearOperator
 // adapters, operator-driven GMRES/power iteration, the EmbeddedChainOperator
 // against the dense oracle at 1e-10, Erlangization as an independent
-// cross-check, the mfree fallback stage (including injected faults), lumped
-// warm starts, kAuto dispatch, and SolverConfig round-trip/hash/alias
-// behavior. The dense backend remains the oracle throughout.
+// cross-check, the mfree fallback stage (including injected faults), the
+// kAuto cost model, and SolverConfig round-trip/hash/alias behavior. The dense backend remains the oracle throughout.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -20,6 +18,7 @@
 #include "src/fault/injector.hpp"
 #include "src/linalg/iterative.hpp"
 #include "src/linalg/operator.hpp"
+#include "src/linalg/poisson.hpp"
 #include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/ctmc.hpp"
 #include "src/markov/dspn_solver.hpp"
@@ -30,6 +29,7 @@
 #include "src/markov/solver_config.hpp"
 #include "src/markov/transient.hpp"
 #include "src/petri/reachability.hpp"
+#include "src/service/wire.hpp"
 #include "src/util/rng.hpp"
 
 namespace nvp {
@@ -390,98 +390,149 @@ TEST(MfreeFallbackStageTest, InjectedFaultFallsBackToPowerIteration) {
 }
 
 // ---------------------------------------------------------------------------
-// Lumped warm start.
-
-TEST(LumpedWarmStartTest, MatchesColdSolveOnThePaperModel) {
-  const auto params = core::SystemParameters::paper_six_version();
-  const auto structure = core::staged_structure(params, /*use_cache=*/false);
-  ASSERT_GT(structure->plan.lumping_classes, 0u);
-  ASSERT_EQ(structure->plan.lumping.size(), structure->graph.size());
-
-  markov::SolverConfig warm;
-  warm.backend = markov::SolverBackend::kMatrixFree;
-  markov::SolverConfig cold = warm;
-  cold.lumped_warm_start = false;
-  const auto warm_result =
-      markov::DspnSteadyStateSolver(warm).solve(structure->graph,
-                                                structure->plan);
-  const auto cold_result =
-      markov::DspnSteadyStateSolver(cold).solve(structure->graph,
-                                                structure->plan);
-  expect_agrees(warm_result.probabilities, cold_result.probabilities, 1e-10,
-                "warm vs cold");
-
-  const markov::EmbeddedChainOperator chain(structure->graph, structure->plan);
-  const Vector guess = markov::lumped_warm_start(
-      chain, structure->plan.lumping, structure->plan.lumping_classes);
-  double total = 0.0;
-  for (double v : guess) {
-    EXPECT_GE(v, 0.0);
-    total += v;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
 // kAuto dispatch.
+
+markov::DispatchInputs mrgp_inputs(std::size_t states, std::size_t nonzeros,
+                                   double rate_horizon) {
+  markov::DispatchInputs inputs;
+  inputs.states = states;
+  inputs.has_deterministic = true;
+  inputs.groups.push_back({nonzeros, rate_horizon});
+  return inputs;
+}
 
 TEST(DispatchBackendTest, ExplicitBackendAlwaysWins) {
   markov::SolverConfig config;
   config.backend = markov::SolverBackend::kSparse;
-  EXPECT_EQ(markov::dispatch_backend(config, 10, true),
+  EXPECT_EQ(markov::dispatch_backend(config, mrgp_inputs(10, 40, 1.0)),
             markov::SolverBackend::kSparse);
-  EXPECT_EQ(markov::dispatch_backend(config, 1000000, false),
+  markov::DispatchInputs ctmc;
+  ctmc.states = 1000000;
+  EXPECT_EQ(markov::dispatch_backend(config, ctmc),
             markov::SolverBackend::kSparse);
 }
 
-TEST(DispatchBackendTest, AutoFollowsTheModelClassThresholds) {
+TEST(DispatchBackendTest, AutoFollowsTheModelClassAndTheCostModel) {
   markov::SolverConfig config;  // kAuto
   // Pure CTMC: dense below sparse_threshold, sparse at/above.
-  EXPECT_EQ(markov::dispatch_backend(config, config.sparse_threshold - 1,
-                                     false),
+  markov::DispatchInputs ctmc;
+  ctmc.states = config.sparse_threshold - 1;
+  EXPECT_EQ(markov::dispatch_backend(config, ctmc),
             markov::SolverBackend::kDense);
-  EXPECT_EQ(markov::dispatch_backend(config, config.sparse_threshold, false),
+  ctmc.states = config.sparse_threshold;
+  EXPECT_EQ(markov::dispatch_backend(config, ctmc),
             markov::SolverBackend::kSparse);
-  // MRGP: dense below the matrix-free threshold, matrix-free at/above —
-  // never the explicit-sparse assembly.
-  EXPECT_EQ(markov::dispatch_backend(
-                config, config.mrgp_matrix_free_threshold - 1, true),
+
+  // MRGP: never the explicit-sparse assembly. A short horizon makes the
+  // operator's propagation cheap, a long one makes it lose to the dense
+  // doubling, whose cost grows only with log(rate_horizon).
+  EXPECT_EQ(markov::dispatch_backend(config, mrgp_inputs(70, 300, 0.5)),
+            markov::SolverBackend::kMatrixFree);
+  EXPECT_EQ(markov::dispatch_backend(config, mrgp_inputs(70, 300, 1e4)),
             markov::SolverBackend::kDense);
-  EXPECT_EQ(markov::dispatch_backend(config,
-                                     config.mrgp_matrix_free_threshold, true),
+  // Above dense_retry_limit the dense backend is never chosen unforced.
+  EXPECT_EQ(markov::dispatch_backend(
+                config, mrgp_inputs(config.dense_retry_limit + 1,
+                                    6 * config.dense_retry_limit, 1e9)),
             markov::SolverBackend::kMatrixFree);
-  EXPECT_EQ(markov::dispatch_backend(config, 1000000, true),
+  config.dense_retry_limit = 69;
+  EXPECT_EQ(markov::dispatch_backend(config, mrgp_inputs(70, 300, 1e4)),
             markov::SolverBackend::kMatrixFree);
+}
+
+TEST(DispatchBackendTest, CostsGrowWithStatesAndHorizon) {
+  // The model's predictions are monotone in each input, so the dispatch
+  // flips at most once along any one axis.
+  const auto cost = [](std::size_t states, double horizon) {
+    return markov::estimate_mrgp_costs(
+        mrgp_inputs(states, 5 * states, horizon), 1u << 20);
+  };
+  double previous_dense = 0.0, previous_mfree = 0.0;
+  for (double horizon = 0.1; horizon <= 1e4; horizon *= 10.0) {
+    const auto c = cost(200, horizon);
+    EXPECT_GE(c.dense_seconds, previous_dense) << horizon;
+    EXPECT_GT(c.matrix_free_seconds, previous_mfree) << horizon;
+    previous_dense = c.dense_seconds;
+    previous_mfree = c.matrix_free_seconds;
+  }
+  previous_dense = previous_mfree = 0.0;
+  for (std::size_t states = 27; states <= 20000; states *= 3) {
+    const auto c = cost(states, 100.0);
+    EXPECT_GT(c.dense_seconds, previous_dense) << states;
+    EXPECT_GT(c.matrix_free_seconds, previous_mfree) << states;
+    previous_dense = c.dense_seconds;
+    previous_mfree = c.matrix_free_seconds;
+  }
+  // Above the dense limit the dense estimate is infinite.
+  EXPECT_TRUE(std::isinf(markov::estimate_mrgp_costs(
+                             mrgp_inputs(100, 500, 1.0), 99)
+                             .dense_seconds));
+}
+
+TEST(DispatchBackendTest, InputsMatchTheOperatorTheyPrice) {
+  // dispatch_inputs reads the graph in O(edges); its Poisson depth must be
+  // the one the matrix-free operator actually runs, and its nonzeros those
+  // of the subordinated generators the operator stores.
+  for (const double interval : {10.0, 600.0, 2980.0}) {
+    auto params = core::SystemParameters::paper_six_version();
+    params.rejuvenation_interval = interval;
+    const auto g = paper_graph(params);
+    const auto plan = markov::build_assembly_plan(g);
+    const auto inputs = markov::dispatch_inputs(g, plan);
+    EXPECT_EQ(inputs.states, g.size());
+    EXPECT_TRUE(inputs.has_deterministic);
+    ASSERT_EQ(inputs.groups.size(), plan.groups.size());
+    std::size_t depth = 0;
+    for (std::size_t i = 0; i < plan.groups.size(); ++i) {
+      depth = std::max(
+          depth,
+          linalg::poisson_terms(inputs.groups[i].rate_horizon, 1e-16)
+              .truncation);
+      const SparseMatrixCsr q = markov::sparse_subordinated_generator(
+          g, plan.groups[i].in_set);
+      EXPECT_EQ(inputs.groups[i].nonzeros, q.nonzeros()) << interval;
+    }
+    const markov::EmbeddedChainOperator chain(g, plan);
+    EXPECT_EQ(depth, chain.max_truncation()) << interval;
+  }
 }
 
 TEST(DispatchBackendTest, PublishedBenchRowsRouteToTheRecordedBackend) {
-  // Every scaling row in the recorded BENCH_mrgp_scaling.json artifact must
-  // still be routed to its recorded backend by today's kAuto dispatch — a
-  // threshold change that silently re-routes the published measurements has
-  // to re-record the artifact.
+  // Every scaling row in the recorded BENCH_mrgp_scaling.json artifact
+  // carries the cost-model inputs of its model and must still be routed to
+  // its recorded backend by today's kAuto dispatch — a cost-model change
+  // that silently re-routes the published measurements has to re-record
+  // the artifact.
   std::ifstream in(std::string(NVP_SOURCE_DIR) +
                    "/bench_results/BENCH_mrgp_scaling.json");
   ASSERT_TRUE(in.good()) << "recorded BENCH_mrgp_scaling.json missing";
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string doc = buffer.str();
+  std::string error;
+  const auto doc = service::wire::parse(buffer.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const service::wire::Value* scaling = doc->get("scaling");
+  ASSERT_TRUE(scaling != nullptr && scaling->is_array());
 
-  // Scaling rows are the only objects carrying both "states" and "backend".
-  const std::regex row_re(
-      "\\{[^{}]*\"states\":\\s*(\\d+)[^{}]*\"backend\":\\s*\"([a-z]+)\""
-      "[^{}]*\\}");
   const markov::SolverConfig defaults;  // kAuto
-  std::size_t rows = 0;
-  for (auto it = std::sregex_iterator(doc.begin(), doc.end(), row_re);
-       it != std::sregex_iterator(); ++it, ++rows) {
-    const std::size_t states = std::stoull((*it)[1].str());
-    const std::string recorded = (*it)[2].str();
-    const auto dispatched = markov::dispatch_backend(defaults, states,
-                                                     /*has_deterministic=*/true);
-    EXPECT_EQ(markov::to_string(dispatched), recorded)
-        << "row with " << states << " states";
+  for (const service::wire::Value& row : scaling->array) {
+    const service::wire::Value* dispatch = row.get("dispatch");
+    ASSERT_TRUE(dispatch != nullptr) << "row without dispatch inputs";
+    markov::DispatchInputs inputs;
+    inputs.states = dispatch->u64_or("states", 0);
+    inputs.has_deterministic = true;
+    const service::wire::Value* groups = dispatch->get("groups");
+    ASSERT_TRUE(groups != nullptr && groups->is_array());
+    for (const service::wire::Value& group : groups->array)
+      inputs.groups.push_back({group.u64_or("nonzeros", 0),
+                               group.number_or("rate_horizon", 0.0)});
+    EXPECT_EQ(inputs.states, row.u64_or("states", 1));
+    EXPECT_EQ(markov::to_string(markov::dispatch_backend(defaults, inputs)),
+              row.string_or("backend", ""))
+        << "row with " << inputs.states << " states";
   }
-  EXPECT_GE(rows, 4u) << "expected the four published scaling rows";
+  EXPECT_GE(scaling->array.size(), 4u)
+      << "expected the four published scaling rows";
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +545,6 @@ TEST(SolverConfigTest, DescribeParsesBackToAnEqualConfig) {
   config.gmres_restart = 37;
   config.gmres_tolerance = 1e-11;
   config.erlang_stages = 4;
-  config.lumped_warm_start = false;
   config.fallback.stages = {markov::FallbackStage::kMatrixFree,
                             markov::FallbackStage::kDenseLu};
   config.fallback.attempt_deadline_seconds = 2.5;
@@ -519,15 +569,11 @@ TEST(SolverConfigTest, EveryKnobChangesTheCanonicalHash) {
             base_hash);
   EXPECT_NE(mutate([](auto& c) { c.clamp_epsilon = 1e-14; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.sparse_threshold = 129; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.mrgp_sparse_threshold = 513; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.mrgp_matrix_free_threshold = 193; }),
-            base_hash);
   EXPECT_NE(mutate([](auto& c) { c.dense_retry_limit = 1; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.gmres_restart = 81; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.gmres_max_iterations = 1; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.gmres_tolerance = 1e-8; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.erlang_stages = 2; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.lumped_warm_start = false; }), base_hash);
   EXPECT_NE(mutate([](auto& c) {
               c.fallback.stages = {markov::FallbackStage::kPowerIteration};
             }),
@@ -579,7 +625,7 @@ TEST(SolverConfigTest, CacheKeysFollowTheCanonicalHash) {
   EXPECT_NE(core::rates_stage_key(params, a.solver),
             core::rates_stage_key(params, b.solver));
   core::ReliabilityAnalyzer::Options c;
-  c.solver.lumped_warm_start = false;
+  c.solver.dense_retry_limit = 64;  // moves the kAuto dispatch boundary
   EXPECT_NE(core::analysis_cache_key(params, a),
             core::analysis_cache_key(params, c));
 }

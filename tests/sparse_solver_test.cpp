@@ -321,15 +321,24 @@ TEST(BackendEquivalenceTest, RandomizedNetsAgree) {
 // ---------------------------------------------------------------------------
 // Dispatch, reporting, and cache identity.
 
-TEST(BackendDispatchTest, AutoPicksDenseBelowThresholdMatrixFreeAbove) {
-  const auto params = core::SystemParameters::paper_six_version();
-  const auto g = paper_graph(params);  // 70 states, MRGP (rejuvenation clock)
-  markov::DspnSteadyStateSolver::Options options;  // kAuto, mfree from 64
-  auto result = markov::DspnSteadyStateSolver(options).solve(g);
+TEST(BackendDispatchTest, AutoPicksTheCheaperMrgpBackendForTheInterval) {
+  // The paper 6v model (70 states, MRGP through the rejuvenation clock):
+  // a short interval keeps the operator's Poisson propagation short, so
+  // matrix-free wins; a long one makes it deep, and dense doubling wins.
+  auto params = core::SystemParameters::paper_six_version();
+  params.rejuvenation_interval = 10.0;
+  markov::DspnSteadyStateSolver::Options options;  // kAuto
+  auto result =
+      markov::DspnSteadyStateSolver(options).solve(paper_graph(params));
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kMatrixFree);
-  options.mrgp_matrix_free_threshold = g.size() + 1;  // below threshold
+  params.rejuvenation_interval = 3000.0;
+  const auto g = paper_graph(params);
   result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kDense);
+  // Never dense above dense_retry_limit, whatever the predicted cost.
+  options.dense_retry_limit = g.size() - 1;
+  result = markov::DspnSteadyStateSolver(options).solve(g);
+  EXPECT_EQ(result.backend_used, markov::SolverBackend::kMatrixFree);
   // The explicit-sparse MRGP assembly stays reachable, but only when forced:
   // its embedded chain is near-dense, so kAuto never dispatches to it.
   options.backend = markov::SolverBackend::kSparse;
@@ -342,8 +351,7 @@ TEST(BackendDispatchTest, AutoUsesCtmcThresholdWithoutDeterministics) {
   params.rejuvenation = false;  // pure CTMC: no deterministic clock
   const auto g = paper_graph(params);
   markov::DspnSteadyStateSolver::Options options;  // kAuto
-  options.sparse_threshold = g.size();      // CTMC threshold reached
-  options.mrgp_sparse_threshold = 100000;   // MRGP threshold is irrelevant
+  options.sparse_threshold = g.size();  // CTMC threshold reached
   const auto result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_TRUE(result.pure_ctmc);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kSparse);
@@ -372,9 +380,9 @@ TEST(CacheKeyTest, BackendAndThresholdChangeTheKey) {
   EXPECT_NE(core::analysis_cache_key(params, options), base_key);
   options.solver.sparse_threshold = 128;  // back to defaults -> same key
   EXPECT_EQ(core::analysis_cache_key(params, options), base_key);
-  options.solver.mrgp_sparse_threshold = 1;
+  options.solver.dense_retry_limit = 1;  // bounds the MRGP dispatch
   EXPECT_NE(core::analysis_cache_key(params, options), base_key);
-  options.solver.mrgp_sparse_threshold = 512;  // default restored
+  options.solver.dense_retry_limit = 4096;  // default restored
   EXPECT_EQ(core::analysis_cache_key(params, options), base_key);
 }
 

@@ -73,6 +73,16 @@ margin must reach the recorded margin minus the tolerance fraction of it,
 so a controller change that quietly halves the adaptive advantage fails
 even while the sign stays positive.
 
+Layers mode (``--layers``) reads the document written by ``bench_layers``
+(``bench_results/BENCH_layers.json``): the per-layer grid over states x
+lambda*tau that the kAuto cost model is fit to. In every measured cell
+kAuto must be within 1.25x of the fastest forced backend (dense or
+matrix-free) and agree with it to 1e-9; the grid must cover at least 20
+cells, kAuto must pick each MRGP backend somewhere (the grid straddles the
+crossover), and the document must carry its machine block. The 1.25 bound
+is the contract of the dispatch, not a machine timing, so it takes no
+tolerance.
+
 ``--list`` prints the numeric metric names available in the baseline file
 (so CI logs and humans can see what is being gated) and exits.
 
@@ -112,6 +122,10 @@ Usage:
     bench_archspace_hetero   # writes bench_results/BENCH_archspace.json
     python3 tools/check_bench_regression.py --archspace \
         bench_results/BENCH_archspace.json
+
+    bench_layers --quick     # writes bench_results/BENCH_layers.json
+    python3 tools/check_bench_regression.py --layers \
+        bench_results/BENCH_layers.json
 
     bench_monitor            # writes bench_results/BENCH_monitor.json
     python3 tools/check_bench_regression.py --monitor \
@@ -216,6 +230,16 @@ MONITOR_CHECKS = [
     ("controller", "resolves", "gt", 0.0),
     ("controller", "retunes", "gt", 0.0),
 ]
+
+# Layers-mode gates, applied to every cell of the grid: kAuto's measured
+# solve time over the fastest forced backend's, and the largest difference
+# between its stationary vector and theirs.
+LAYERS_CELL_CHECKS = [
+    ("auto_over_best", "le", 1.25),
+    ("max_abs_diff", "le", 1e-9),
+]
+LAYERS_MIN_CELLS = 20
+LAYERS_MACHINE_FIELDS = ("nproc", "build_type", "compiler", "git_sha")
 
 # Service-mode gates on the named loadgen scenario. The burst scenario
 # is the acceptance run: >= 10k requests simultaneously in flight against
@@ -480,6 +504,50 @@ def check_mrgp(report: dict, report_path: str) -> int:
     return 0
 
 
+def check_layers(report: dict, report_path: str) -> int:
+    cells = report.get("cells")
+    if not isinstance(cells, list) or not cells:
+        raise SystemExit(
+            f"error: layers report '{report_path}' lacks a non-empty "
+            "'cells' array"
+        )
+    machine = report.get("machine")
+    if not isinstance(machine, dict) or any(
+            field not in machine for field in LAYERS_MACHINE_FIELDS):
+        raise SystemExit(
+            f"error: layers report '{report_path}' lacks a machine block "
+            f"with {', '.join(LAYERS_MACHINE_FIELDS)}"
+        )
+
+    failures = 0
+    picks = set()
+    for cell in cells:
+        label = (f"cell[states={cell.get('states')},"
+                 f"rate_horizon={cell.get('rate_horizon')}]")
+        for field, op, bound in LAYERS_CELL_CHECKS:
+            if not isinstance(cell.get(field), (int, float)):
+                raise SystemExit(
+                    f"error: layers report '{report_path}' lacks "
+                    f"'{field}' in {label}"
+                )
+            failures += 0 if evaluate(f"{label}.{field}", float(cell[field]),
+                                      op, bound) else 1
+        auto = cell.get("auto")
+        if isinstance(auto, dict):
+            picks.add(auto.get("backend"))
+    failures += 0 if evaluate("cells", float(len(cells)), "ge",
+                              LAYERS_MIN_CELLS) else 1
+    for backend in ("dense", "mfree"):
+        ok = backend in picks
+        print(f"kAuto picks {backend} somewhere: {'ok' if ok else 'FAIL'}")
+        failures += 0 if ok else 1
+    if failures:
+        print(f"FAIL: {failures} layers gate(s) violated")
+        return 1
+    print("OK: kAuto within 1.25x of the best forced backend in every cell")
+    return 0
+
+
 def check_store(report: dict, report_path: str) -> int:
     status = check_table(report, report_path, STORE_CHECKS, "store",
                          "persistent-store warm-start contract holds")
@@ -534,7 +602,7 @@ def check_service(report: dict, report_path: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Mode registry: flag name -> (checks table, label, success line). Modes
-# with extra logic beyond the table (runtime, mrgp, service, store's
+# with extra logic beyond the table (runtime, mrgp, layers, service, store's
 # self-relative probe check, monitor's recorded-margin comparison) wrap the
 # shared pieces in their own check_* function above.
 
@@ -598,6 +666,18 @@ def self_test() -> int:
     check_schema({"schema_version": SUPPORTED_SCHEMA_VERSION}, "<mem>",
                  "baseline")
     expect("schema.current", True)
+
+    # Layers grid: one cell over the 1.25x bound fails the whole grid.
+    def layers_doc(ratio):
+        cell = {"states": 70, "rate_horizon": 10.0, "auto_over_best": 1.0,
+                "max_abs_diff": 1e-12, "auto": {"backend": "mfree"}}
+        cells = [dict(cell, auto={"backend": "dense"})] + [
+            dict(cell) for _ in range(LAYERS_MIN_CELLS - 1)]
+        cells[-1]["auto_over_best"] = ratio
+        return {"machine": {f: "x" for f in LAYERS_MACHINE_FIELDS},
+                "cells": cells}
+    expect("layers.pass", check_layers(layers_doc(1.25), "<mem>") == 0)
+    expect("layers.fail", check_layers(layers_doc(1.26), "<mem>") == 1)
 
     # Metric flattening covers nested objects and row arrays, skips bools.
     names = metric_names({"a": 1, "b": {"c": 2.5, "flag": True},
@@ -669,6 +749,12 @@ def main() -> int:
         "table plus the recorded-margin comparison against --baseline)",
     )
     parser.add_argument(
+        "--layers",
+        action="store_true",
+        help="gate a bench_layers BENCH_layers.json report: kAuto within "
+        "1.25x of the best forced backend in every grid cell",
+    )
+    parser.add_argument(
         "--list",
         action="store_true",
         help="print the numeric metric names in the baseline file and exit",
@@ -683,10 +769,10 @@ def main() -> int:
     if args.tolerance < 0:
         parser.error("--tolerance must be non-negative")
     mode_flags = [args.sweep, args.service, args.mrgp, args.store,
-                  args.archspace, args.monitor]
+                  args.archspace, args.monitor, args.layers]
     if sum(mode_flags) > 1:
         parser.error("--sweep, --service, --mrgp, --store, --archspace, "
-                     "and --monitor are mutually exclusive")
+                     "--monitor, and --layers are mutually exclusive")
 
     if args.self_test:
         return self_test()
@@ -707,6 +793,8 @@ def main() -> int:
         return check_service(report, args.report)
     if args.mrgp:
         return check_mrgp(report, args.report)
+    if args.layers:
+        return check_layers(report, args.report)
     if args.store:
         return check_store(report, args.report)
     if args.archspace:

@@ -92,10 +92,10 @@ SCHEDULES = [
     ("alloc", "alloc:1.0:23", {"4v": "envelopes", "6v": "envelopes"}, []),
     # Forced cache misses change only costs, never values.
     ("cache", "cache:1.0:5", {"4v": "identical", "6v": "identical"}, []),
-    # The matrix-free stage: kAuto routes the 6v MRGP model through the
-    # operator backend, whose default chain is [mfree, power] — the injected
-    # stage failure must degrade to power iteration, still yielding a value
-    # for every point. The 4v pure-CTMC solve is dense at this size and
+    # The matrix-free stage: kAuto routes the 6v MRGP model's shorter
+    # intervals (below ~800 s) through the operator backend, whose default
+    # chain is [mfree, power] — the injected stage failure must degrade to
+    # power iteration, still yielding a value for every point. The 4v pure-CTMC solve is dense at this size and
     # never arms the site, so its results must match the baseline exactly.
     ("mfree-fallback", "mfree:1.0:31", {"4v": "identical", "6v": "clean"},
      []),

@@ -133,11 +133,12 @@ int usage() {
       "--attachment operational|appendix\n"
       "solver selection (any analytic command): --solver-config "
       "<key=value,...> (keys: backend auto|dense|sparse|mfree, ctmc, clamp, "
-      "sparse-threshold, mfree-threshold, dense-retry-limit, gmres-restart, "
-      "gmres-max-iters, gmres-tol, erlang-stages, warm-start, "
-      "fallback=<stage+stage+...>, attempt-deadline; auto = sparse Krylov "
-      "above 128 states for CTMC models, matrix-free above 64 for MRGP "
-      "models, dense below)\n"
+      "sparse-threshold, dense-retry-limit, gmres-restart, gmres-max-iters, "
+      "gmres-tol, erlang-stages, fallback=<stage+stage+...>, "
+      "attempt-deadline; auto = sparse Krylov from 128 states for CTMC "
+      "models, dense below; for MRGP models whichever of dense and "
+      "matrix-free a cost model of states, nonzeros and Poisson depth "
+      "predicts faster, never dense above dense-retry-limit states)\n"
       "robustness: --strict (fail fast instead of degrading failed points "
       "into error envelopes)\n"
       "common options (any command): --jobs N, --seed S, --format "
@@ -145,7 +146,8 @@ int usage() {
       "observability: --metrics-json <path> (write run manifest; implies "
       "--trace), --trace (span tree to stderr), --metrics (counter dump to "
       "stderr), --cache-stats (per-stage pipeline cache table to stderr); "
-      "NVP_METRICS=0 disables collection\n"
+      "NVP_METRICS=0 disables collection; `serve` writes them when it has "
+      "drained, holding every span in memory until then\n"
       "deprecated aliases: --threads->--jobs --rng-seed->--seed "
       "--csv/--json->--format --out->--output "
       "--solver-> --solver-config backend=... "
@@ -914,7 +916,9 @@ int archspace(const core::Engine& engine, const util::CliArgs& args,
 
 // ---------------------------------------------------------------------------
 // Service mode: `serve` hosts nvpd in-process; `--remote` turns the
-// analytic subcommands into protocol clients of a running daemon.
+// analytic subcommands into protocol clients of a running daemon. serve()
+// returns once the daemon has drained, and main() then writes the run
+// manifest / span tree like any other command.
 
 volatile std::sig_atomic_t g_signal_stop = 0;
 void handle_stop_signal(int) { g_signal_stop = 1; }
@@ -1187,7 +1191,7 @@ int main(int argc, char** argv) {
     int status = 1;
     const bool remote = args.has("remote");
     if (command == "serve")
-      return serve(args);
+      status = serve(args);  // returns after drain; the manifest follows
     else if (command == "stats" || command == "shutdown")
       status = run_remote(command, args, common, out);
     else if (command == "analyze")
@@ -1220,7 +1224,7 @@ int main(int argc, char** argv) {
       return usage();
     if (status != 0) return status;
 
-    if (!emit(out, common.output)) return 2;
+    if (command != "serve" && !emit(out, common.output)) return 2;
     if (common.trace)
       std::fprintf(
           stderr, "%s",
