@@ -281,8 +281,7 @@ int main(int argc, char** argv) {
         json.kv("rate_horizon", group.rate_horizon);
         json.kv("truncation",
                 static_cast<std::uint64_t>(
-                    linalg::poisson_terms(group.rate_horizon, 1e-16)
-                        .truncation));
+                    linalg::poisson_truncation(group.rate_horizon, 1e-16)));
         json.end_object();
       }
       json.end_array();

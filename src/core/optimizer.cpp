@@ -44,23 +44,20 @@ Optimum maximize_reliability(
   };
 
   // Coarse grid to bracket the global maximum: the grid points are
-  // independent solves, so evaluate them in one parallel batch after a
-  // serial first point warms the staged structure/rates caches every grid
-  // point shares (the golden-section refinement below is inherently
+  // independent solves, so evaluate them in one parallel batch; the
+  // single-flight stage caches build the structure/rates artifacts the grid
+  // points share once (the golden-section refinement below is inherently
   // sequential, but its re-evaluations go through the analyzer's
   // memoization cache).
   const double step =
       (hi - lo) / static_cast<double>(grid_points - 1);
   std::vector<double> grid_f(grid_points, kFailed);
-  auto grid_eval = [&](std::size_t i) {
-    SystemParameters params = base;
-    setter(params, lo + step * static_cast<double>(i));
-    grid_f[i] = value_of(params);
-  };
-  grid_eval(0);
   try {
-    runtime::parallel_for(grid_points - 1,
-                          [&](std::size_t i) { grid_eval(i + 1); });
+    runtime::parallel_for(grid_points, [&](std::size_t i) {
+      SystemParameters params = base;
+      setter(params, lo + step * static_cast<double>(i));
+      grid_f[i] = value_of(params);
+    });
   } catch (const std::exception&) {
     // Pool-level failure (outside value_of's guard): the unevaluated grid
     // entries keep their -inf marker.

@@ -59,14 +59,11 @@ std::vector<SensitivityEntry> sensitivity_report(
   NVP_EXPECTS(relative_step > 0.0 && relative_step < 1.0);
   const obs::ScopedSpan span("core.sensitivity");
   base.validate();
-  // The serial center evaluation also warms the staged structure cache:
-  // every knob below perturbs a timing or reward parameter, so all 2x8
-  // parallel evaluations reuse the explored reachability structure.
-  const double center = analyzer.analyze(base).expected_reliability;
-  NVP_EXPECTS_MSG(center > 0.0, "sensitivity needs a nonzero baseline");
-
   // Collect the active knobs' perturbed parameter sets, then evaluate all
-  // of them (two solves per knob) in one parallel batch.
+  // of them (two solves per knob) and the center in one parallel batch.
+  // Every knob perturbs a timing or reward parameter, so all the solves
+  // share the explored reachability structure, which the single-flight
+  // stage cache builds once.
   struct Perturbation {
     const Knob* knob;
     double theta, lo, hi;
@@ -86,21 +83,30 @@ std::vector<SensitivityEntry> sensitivity_report(
     work.push_back(p);
   }
 
+  // Index 0 is the center; index i > 0 fills the entry of work[i - 1].
+  double center = 0.0;
   std::vector<SensitivityEntry> report(work.size());
-  runtime::parallel_for(work.size(), [&](std::size_t i) {
-    const Perturbation& p = work[i];
-    SensitivityEntry entry;
+  runtime::parallel_for(work.size() + 1, [&](std::size_t i) {
+    if (i == 0) {
+      center = analyzer.analyze(base).expected_reliability;
+      return;
+    }
+    const Perturbation& p = work[i - 1];
+    SensitivityEntry& entry = report[i - 1];
     entry.parameter = p.knob->name;
     entry.base_value = p.theta;
     entry.value_down = analyzer.analyze(p.down).expected_reliability;
     entry.value_up = analyzer.analyze(p.up).expected_reliability;
-    const double dtheta = (p.hi - p.lo) / p.theta;
+  });
+  NVP_EXPECTS_MSG(center > 0.0, "sensitivity needs a nonzero baseline");
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    const double dtheta = (work[i].hi - work[i].lo) / work[i].theta;
+    SensitivityEntry& entry = report[i];
     entry.elasticity =
         dtheta > 0.0
             ? ((entry.value_up - entry.value_down) / center) / dtheta
             : 0.0;
-    report[i] = entry;
-  });
+  }
   std::sort(report.begin(), report.end(),
             [](const SensitivityEntry& a, const SensitivityEntry& b) {
               return a.swing() > b.swing();

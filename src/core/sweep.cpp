@@ -53,22 +53,19 @@ std::vector<SweepPoint> sweep_parameter(const ReliabilityAnalyzer& analyzer,
     }
     return point;
   };
-  // Evaluate the first point serially: it populates the staged
-  // structure/rates caches the remaining points share (a sweep varies one
-  // parameter, so every point reuses at least the structure stage), instead
-  // of every worker racing to build the same artifacts. The fan-out assigns
-  // by index, so the output is identical to the serial loop for any job
-  // count.
+  // Every point goes to one parallel batch. Points share staged artifacts
+  // (a sweep varies one parameter, so at least the structure stage); the
+  // stage caches are single-flight, so each shared artifact is built once
+  // by whichever point reaches it first while the others wait for it. The
+  // fan-out assigns by index, so the output is identical to the serial
+  // loop for any job count.
   std::vector<SweepPoint> out(values.size());
   std::vector<char> done(values.size(), 0);
-  const auto run = [&](std::size_t i) {
-    out[i] = eval(values[i]);
-    done[i] = 1;
-  };
-  run(0);
   try {
-    runtime::parallel_for(values.size() - 1,
-                          [&](std::size_t i) { run(i + 1); });
+    runtime::parallel_for(values.size(), [&](std::size_t i) {
+      out[i] = eval(values[i]);
+      done[i] = 1;
+    });
   } catch (const std::exception&) {
     // Failures outside eval's guard (e.g. injected task-dispatch faults in
     // the pool itself) leave whole points unevaluated; degrade those into
@@ -116,14 +113,14 @@ std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
     }
   };
   // Scan phase: every grid point is independent, so evaluate the curve
-  // difference in parallel after one serial point warms the staged
-  // structure/rates caches both configurations share; the bisection
-  // refinements below re-evaluate through the analyzer's memoization cache.
+  // difference in one parallel batch; the single-flight stage caches build
+  // the structure/rates artifacts both configurations share once. The
+  // bisection refinements below re-evaluate through the analyzer's
+  // memoization cache.
   std::vector<double> grid_diff(values.size(), kFailed);
-  grid_diff[0] = safe_diff(values[0]);
   try {
-    runtime::parallel_for(values.size() - 1, [&](std::size_t i) {
-      grid_diff[i + 1] = safe_diff(values[i + 1]);
+    runtime::parallel_for(values.size(), [&](std::size_t i) {
+      grid_diff[i] = safe_diff(values[i]);
     });
   } catch (const std::exception&) {
     if (policy.strict) throw;

@@ -1,5 +1,6 @@
 #include "src/fault/injector.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -16,14 +17,17 @@ constexpr const char* kSiteNames[kSiteCount] = {
     "pool",  "alloc", "mfree", "store-read",     "store-write"};
 
 obs::Counter& injected_counter(Site site) {
-  static obs::Counter* counters[kSiteCount] = {nullptr};
+  static std::atomic<obs::Counter*> counters[kSiteCount] = {};
   const std::size_t i = static_cast<std::size_t>(site);
-  // Racy-but-idempotent init: Registry::counter returns the same object for
-  // the same name, so concurrent first calls store the same pointer.
-  if (counters[i] == nullptr)
-    counters[i] = &obs::Registry::global().counter(
-        std::string("fault.injected.") + kSiteNames[i]);
-  return *counters[i];
+  // Idempotent init: Registry::counter returns the same object for the
+  // same name, so concurrent first calls store the same pointer.
+  obs::Counter* counter = counters[i].load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    counter = &obs::Registry::global().counter(std::string("fault.injected.") +
+                                               kSiteNames[i]);
+    counters[i].store(counter, std::memory_order_release);
+  }
+  return *counter;
 }
 
 }  // namespace

@@ -19,4 +19,8 @@ struct PoissonTerms {
 /// returns the degenerate distribution at 0.
 PoissonTerms poisson_terms(double mean, double epsilon = 1e-14);
 
+/// poisson_terms(mean, epsilon).truncation, without allocating: the same
+/// pmf recurrence and stopping rule, keeping only the running sums.
+std::size_t poisson_truncation(double mean, double epsilon = 1e-14);
+
 }  // namespace nvp::linalg

@@ -347,7 +347,7 @@ MrgpCostEstimate estimate_mrgp_costs(const DispatchInputs& inputs,
       if (!(group.rate_horizon > 0.0)) continue;
       const auto [doublings, base] = doubling_schedule(group.rate_horizon);
       products +=
-          static_cast<double>(linalg::poisson_terms(base, 1e-16).truncation) +
+          static_cast<double>(linalg::poisson_truncation(base, 1e-16)) +
           2.0 * doublings;
     }
     estimate.dense_seconds = kDenseSecondsPerFlop *
@@ -363,7 +363,7 @@ MrgpCostEstimate estimate_mrgp_costs(const DispatchInputs& inputs,
                           std::pow(1.0 + horizon, kMfreeHorizonExponent);
   // Operator slots per application, with each truncation depth first
   // replaced by its lower bound (K >= rate_horizon). The exact depths cost
-  // time and memory linear in rate_horizon to compute, so they are only
+  // time linear in rate_horizon to compute, so they are only
   // computed when the choice can hinge on them: never above the dense
   // limit, nor when even the lower bound loses to dense (which bounds
   // rate_horizon by the dense solve's own cost).
@@ -373,7 +373,7 @@ MrgpCostEstimate estimate_mrgp_costs(const DispatchInputs& inputs,
       double terms = group.rate_horizon;
       if (exact && group.rate_horizon > 0.0)
         terms = static_cast<double>(
-            linalg::poisson_terms(group.rate_horizon, 1e-16).truncation);
+            linalg::poisson_truncation(group.rate_horizon, 1e-16));
       total += (terms + 1.0) * (static_cast<double>(group.nonzeros) + 2.0 * n);
     }
     return total;

@@ -129,8 +129,8 @@ struct DispatchInputs {
     std::size_t nonzeros = 0;
     /// Poisson mean lambda_d * tau_d of the group's uniformization: the
     /// largest member exit rate times the deterministic delay. The
-    /// matrix-free propagation runs poisson_terms(rate_horizon).truncation
-    /// terms per application (EmbeddedChainOperator::max_truncation()); the
+    /// matrix-free propagation runs poisson_truncation(rate_horizon) terms
+    /// per application (EmbeddedChainOperator::max_truncation()); the
     /// dense matrix exponential needs about log2(rate_horizon) doublings.
     double rate_horizon = 0.0;
   };

@@ -44,6 +44,9 @@ struct PoolMetrics {
                      std::move(context));
 }
 
+/// Depth of tasks stolen inside wait_for_group() on this thread's stack.
+thread_local std::size_t t_stolen_depth = 0;
+
 /// Completion state shared by the tasks of one parallel_for call.
 struct LoopGroup {
   std::atomic<std::size_t> next{0};      ///< next unclaimed index
@@ -144,7 +147,9 @@ struct ThreadPool::Impl {
         auto task = std::move(queue.front());
         queue.pop_front();
         lock.unlock();
-        task();
+        ++t_stolen_depth;
+        task();  // pool tasks catch every exception of their loop bodies
+        --t_stolen_depth;
         lock.lock();
         continue;
       }
@@ -179,6 +184,8 @@ ThreadPool::~ThreadPool() {
   impl_->wake.notify_all();
   for (auto& worker : impl_->workers) worker.join();
 }
+
+bool in_stolen_task() { return t_stolen_depth > 0; }
 
 std::size_t ThreadPool::jobs() const { return impl_->workers.size() + 1; }
 

@@ -62,6 +62,14 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
+/// True while the calling thread runs a task it took from the pool's queue
+/// while waiting for its own parallel_for to finish (the stealing wait that
+/// keeps nested loops deadlock-free). Such a task may belong to any loop, so
+/// it can meet work that this thread started further down its own stack; a
+/// thread in that state must never block on work another task is doing
+/// (ShardedLruCache::get_or_compute computes inline instead of waiting).
+bool in_stolen_task();
+
 /// Effective default concurrency: the last set_default_jobs() value if one
 /// was set, else the NVP_JOBS environment variable, else
 /// std::thread::hardware_concurrency() (at least 1).

@@ -1,6 +1,5 @@
 #include "src/util/cli.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace nvp::util {
@@ -62,51 +61,19 @@ std::vector<std::string> CliArgs::keys() const {
   return out;
 }
 
-namespace {
-
-void warn_deprecated(const char* old_flag, const char* replacement) {
-  std::fprintf(stderr, "warning: %s is deprecated, use %s\n", old_flag,
-               replacement);
-}
-
-}  // namespace
-
-const std::vector<std::string>& CommonOptions::known_flags() {
-  static const std::vector<std::string> kFlags = {
-      "jobs",   "seed", "format",      "output",      "metrics-json",
-      "trace",  "metrics", "cache-stats",
-      // deprecated aliases
-      "threads", "rng-seed", "csv", "json", "out"};
-  return kFlags;
-}
-
 CommonOptions parse_common_options(const CliArgs& args) {
   CommonOptions options;
 
-  if (args.has("threads") && !args.has("jobs"))
-    warn_deprecated("--threads", "--jobs");
-  options.jobs = args.get_int("jobs", args.get_int("threads", 0));
+  options.jobs = args.get_int("jobs", 0);
   if (options.jobs < 0)
     throw std::invalid_argument("--jobs must be >= 0 (0 = default)");
 
-  if (args.has("rng-seed") && !args.has("seed"))
-    warn_deprecated("--rng-seed", "--seed");
-  const int seed = args.get_int("seed", args.get_int("rng-seed", 1));
+  const int seed = args.get_int("seed", 1);
   if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
   options.seed = static_cast<std::uint64_t>(seed);
 
   std::string format = args.get("format", "");
-  if (format.empty()) {
-    if (args.has("csv")) {
-      warn_deprecated("--csv", "--format csv");
-      format = "csv";
-    } else if (args.has("json")) {
-      warn_deprecated("--json", "--format json");
-      format = "json";
-    } else {
-      format = "table";
-    }
-  }
+  if (format.empty()) format = "table";
   if (format == "table")
     options.format = OutputFormat::kTable;
   else if (format == "csv")
@@ -117,9 +84,7 @@ CommonOptions parse_common_options(const CliArgs& args) {
     throw std::invalid_argument("--format expects table|csv|json, got '" +
                                 format + "'");
 
-  if (args.has("out") && !args.has("output"))
-    warn_deprecated("--out", "--output");
-  options.output = args.get("output", args.get("out", ""));
+  options.output = args.get("output", "");
 
   options.metrics_json = args.get("metrics-json", "");
   options.trace = args.has("trace");

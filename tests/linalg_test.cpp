@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/linalg/dense_matrix.hpp"
 #include "src/linalg/iterative.hpp"
@@ -247,6 +248,20 @@ TEST(Poisson, MeanOfDistributionMatches) {
   for (std::size_t k = 0; k < terms.pmf.size(); ++k)
     mean += static_cast<double>(k) * terms.pmf[k];
   EXPECT_NEAR(mean, 12.5, 1e-9);
+}
+
+TEST(Poisson, TruncationAgreesWithTerms) {
+  // The allocation-free depth must equal the full computation's everywhere
+  // the dispatch cost model asks for it: means 0 ... 1e4 at both epsilons.
+  std::vector<double> means = {0.0};
+  for (double m = 1e-3; m <= 1e4; m *= 1.07) means.push_back(m);
+  for (int m = 1; m <= 200; ++m) means.push_back(m);
+  means.push_back(1e4);
+  for (double epsilon : {1e-14, 1e-16})
+    for (double mean : means)
+      EXPECT_EQ(poisson_truncation(mean, epsilon),
+                poisson_terms(mean, epsilon).truncation)
+          << "mean " << mean << " epsilon " << epsilon;
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Tests for the src/runtime/ execution layer: thread-pool semantics
 // (coverage, ordering of results, exception propagation), the sharded LRU
-// solver cache (hit/miss/eviction accounting, LRU policy, memoization), the
+// solver cache (hit/miss/eviction accounting, LRU policy, memoization, the
+// single-flight rules and their deadlock guard), the
 // SplitMix64 substream API, and the determinism guarantee that parallel
 // sweeps / replicated simulations produce results identical to serial runs
 // for any job count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -17,7 +20,10 @@
 #include "src/core/model_factory.hpp"
 #include "src/core/optimizer.hpp"
 #include "src/core/reliability.hpp"
+#include "src/core/staged.hpp"
 #include "src/core/sweep.hpp"
+#include "src/fault/injector.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/runtime/fnv.hpp"
 #include "src/runtime/lru_cache.hpp"
 #include "src/runtime/thread_pool.hpp"
@@ -165,6 +171,221 @@ TEST(ShardedLruCache, ConcurrentMixedAccessIsConsistent) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.lookups(), 2000u);
   EXPECT_GE(stats.misses, 100u);  // every distinct key misses at least once
+}
+
+// -------------------------------------------------------------- single flight
+
+/// Spins until `pred()` holds or ten seconds pass; returns whether it held.
+/// The bound turns a broken single-flight rule into a failure, not a hang.
+template <typename Pred>
+bool eventually(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(SingleFlight, ConcurrentMissesOnOneKeyComputeOnce) {
+  constexpr int kThreads = 6;
+  runtime::ShardedLruCache<int> cache(/*capacity=*/8, /*shards=*/2);
+  std::atomic<int> computes{0};
+  std::atomic<bool> all_waited{false};
+  std::vector<int> got(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      got[t] = cache.get_or_compute(7, [&] {
+        ++computes;
+        // Hold the flight until every other thread waits on it.
+        all_waited = eventually(
+            [&] { return cache.stats().waits == kThreads - 1u; });
+        return 42;
+      });
+    });
+  for (auto& thread : threads) thread.join();
+  EXPECT_TRUE(all_waited.load());
+  EXPECT_EQ(computes.load(), 1);
+  for (int value : got) EXPECT_EQ(value, 42);
+  // A waiter counts one hit and one wait, never a miss.
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kThreads - 1u);
+  EXPECT_EQ(stats.waits, kThreads - 1u);
+}
+
+TEST(SingleFlight, DifferentKeysComputeInParallel) {
+  runtime::ShardedLruCache<int> cache(/*capacity=*/8, /*shards=*/1);
+  std::atomic<int> started{0};
+  std::atomic<int> overlapped{0};
+  std::vector<std::thread> threads;
+  for (int key = 0; key < 2; ++key)
+    threads.emplace_back([&, key] {
+      cache.get_or_compute(key, [&] {
+        ++started;
+        // Each compute finishes only once the other one has started.
+        if (eventually([&] { return started.load() == 2; })) ++overlapped;
+        return key;
+      });
+    });
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(overlapped.load(), 2);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().waits, 0u);
+}
+
+TEST(SingleFlight, FailedLeaderLeavesWaitersToComputeForThemselves) {
+  constexpr int kThreads = 4;
+  runtime::ShardedLruCache<int> cache(/*capacity=*/8, /*shards=*/2);
+  std::atomic<int> computes{0};
+  std::atomic<int> failures{0};
+  std::vector<int> got(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      try {
+        got[t] = cache.get_or_compute(9, [&] {
+          if (++computes == 1) {
+            eventually([&] { return cache.stats().waits == kThreads - 1u; });
+            throw std::runtime_error("leader failed");
+          }
+          // Every waiter computes: none finishes before all have started.
+          eventually([&] { return computes.load() == kThreads; });
+          return 5;
+        });
+      } catch (const std::runtime_error&) {
+        ++failures;
+      }
+    });
+  for (auto& thread : threads) thread.join();
+  // Only the leader saw its exception; each waiter computed its own value.
+  EXPECT_EQ(failures.load(), 1);
+  EXPECT_EQ(computes.load(), kThreads);
+  EXPECT_EQ(std::count(got.begin(), got.end(), 5), kThreads - 1);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.waits, kThreads - 1u);
+  EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST(SingleFlight, ForcedCacheMissBypassesTheFlight) {
+  runtime::ShardedLruCache<int> cache(/*capacity=*/8, /*shards=*/1);
+  fault::Injector::global().set(fault::Site::kCache, 1.0, 0);
+  std::atomic<int> started{0};
+  std::atomic<int> overlapped{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&] {
+      cache.get_or_compute(3, [&] {
+        ++started;
+        if (eventually([&] { return started.load() == 2; })) ++overlapped;
+        return 1;
+      });
+    });
+  for (auto& thread : threads) thread.join();
+  fault::Injector::global().reset();
+  // Both forced misses computed at once: neither waited on the other.
+  EXPECT_EQ(overlapped.load(), 2);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().waits, 0u);
+}
+
+TEST(SingleFlight, TaskStolenInsideItsOwnFlightComputesInline) {
+  runtime::ThreadPool pool(2);  // the caller plus one worker
+  // Park the worker: another thread's loop holds both of its indices (one
+  // on that thread, one on the worker) until the scenario is over.
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  std::thread other([&] {
+    pool.parallel_for(2, [&](std::size_t) {
+      ++parked;
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  EXPECT_TRUE(eventually([&] { return parked.load() == 2; }));
+
+  // The loop below queues one helper task that nobody can take. The caller
+  // leads key 0 at index 0; the wait of its inner loop steals that helper,
+  // which runs index 1 on the same key, inside the flight the caller leads.
+  // Waiting there would wait on itself.
+  runtime::ShardedLruCache<int> cache(/*capacity=*/8, /*shards=*/1);
+  std::atomic<int> stolen_computes{0};
+  std::vector<int> got(2, 0);
+  pool.parallel_for(2, [&](std::size_t i) {
+    got[i] = cache.get_or_compute(0, [&] {
+      if (runtime::in_stolen_task()) ++stolen_computes;
+      pool.parallel_for(2, [](std::size_t) {});
+      return 11;
+    });
+  });
+  release = true;
+  other.join();
+  EXPECT_EQ(got[0], 11);
+  EXPECT_EQ(got[1], 11);
+  EXPECT_EQ(stolen_computes.load(), 1);
+  EXPECT_EQ(cache.stats().waits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+std::vector<core::SweepPoint> cold_sweep(
+    std::size_t jobs, const core::ReliabilityAnalyzer& analyzer,
+    const core::SystemParameters& base, const core::ParameterSetter& setter,
+    const std::vector<double>& values) {
+  runtime::set_default_jobs(jobs);
+  core::clear_stage_caches();
+  auto points = core::sweep_parameter(analyzer, base, setter, values);
+  runtime::set_default_jobs(0);
+  return points;
+}
+
+void expect_bit_identical(const std::vector<core::SweepPoint>& a,
+                          const std::vector<core::SweepPoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i].ok && b[i].ok) << "point " << i;
+    EXPECT_EQ(a[i].x, b[i].x);
+    EXPECT_EQ(a[i].expected_reliability, b[i].expected_reliability)
+        << "point " << i;
+  }
+}
+
+TEST(SingleFlightSweep, ForcedSparseAlphaSweepWithRepeatsFinishes) {
+  // Every point shares one rates artifact, whose forced-sparse assembly
+  // fans its rows out on the pool; the repeated values put two points on
+  // each whole-result key. The pool's stealing wait then meets flights its
+  // own thread leads, which must not deadlock.
+  core::ReliabilityAnalyzer::Options options;
+  options.solver.backend = markov::SolverBackend::kSparse;
+  const core::ReliabilityAnalyzer analyzer(options);
+  const auto base = core::SystemParameters::paper_six_version();
+  const std::vector<double> alphas = {0.1, 0.1, 0.3, 0.3,
+                                      0.5, 0.5, 0.7, 0.7};
+  const auto serial =
+      cold_sweep(1, analyzer, base, core::set_alpha(), alphas);
+  for (int round = 0; round < 5; ++round)
+    expect_bit_identical(
+        cold_sweep(4, analyzer, base, core::set_alpha(), alphas), serial);
+}
+
+TEST(SingleFlightSweep, MttcSweepExploresOnceAtFourJobs) {
+  auto base = core::SystemParameters::paper_six_version();
+  base.n_versions = 8;
+  base.max_faulty = 1;
+  base.max_rejuvenating = 1;
+  const std::vector<double> mttcs = {1000.0, 2000.0, 3000.0, 4000.0};
+  const core::ReliabilityAnalyzer analyzer;
+  const auto serial = cold_sweep(1, analyzer, base,
+                                 core::set_mean_time_to_compromise(), mttcs);
+  obs::Counter& builds =
+      obs::Registry::global().counter("petri.reachability.builds");
+  const std::uint64_t before = builds.value();
+  const auto parallel = cold_sweep(
+      4, analyzer, base, core::set_mean_time_to_compromise(), mttcs);
+  EXPECT_EQ(builds.value() - before, 1u);
+  EXPECT_EQ(core::stage_cache_stats().structure.misses, 1u);
+  expect_bit_identical(parallel, serial);
 }
 
 // ----------------------------------------------------------------- fnv + seeds

@@ -586,8 +586,9 @@ TEST_F(ServiceTest, FullQueueRejectsWithRetryHint) {
   start(options);  // one worker, one queue slot
   service::Client client = connect();
   ASSERT_TRUE(client.send(blocker_request(100)));
-  // Give the worker a moment to dequeue the blocker (frees the slot).
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Wait until the worker runs the blocker (frees the slot). A fixed pause
+  // raced the blocker itself, a sweep of about the same length.
+  ASSERT_TRUE(wait_until_executing(1));
 
   // Occupies the single queue slot (distinct key, so no coalescing).
   ASSERT_TRUE(client.send(

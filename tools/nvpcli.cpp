@@ -147,11 +147,7 @@ int usage() {
       "--trace), --trace (span tree to stderr), --metrics (counter dump to "
       "stderr), --cache-stats (per-stage pipeline cache table to stderr); "
       "NVP_METRICS=0 disables collection; `serve` writes them when it has "
-      "drained, holding every span in memory until then\n"
-      "deprecated aliases: --threads->--jobs --rng-seed->--seed "
-      "--csv/--json->--format --out->--output "
-      "--solver-> --solver-config backend=... "
-      "--fallback-> --solver-config fallback=...\n");
+      "drained, holding every span in memory until then\n");
   return 1;
 }
 
@@ -374,16 +370,6 @@ core::SystemParameters paper_params(const util::CliArgs& args) {
   return params;
 }
 
-/// Warn-once helper for the deprecated solver flags (repeated subcommand
-/// dispatch within one process must not repeat the warning).
-void warn_deprecated_once(const char* old_flag, const char* replacement) {
-  static std::set<std::string> warned;
-  if (!warned.insert(old_flag).second) return;
-  std::fprintf(stderr, "warning: %s is deprecated, use %s\n", old_flag,
-               replacement);
-}
-
-
 core::ReliabilityAnalyzer::Options analyzer_options(
     const util::CliArgs& args) {
   core::ReliabilityAnalyzer::Options options;
@@ -395,24 +381,6 @@ core::ReliabilityAnalyzer::Options analyzer_options(
   const std::string attachment = args.get("attachment", "operational");
   if (attachment == "appendix")
     options.attachment = core::RewardAttachment::kAppendixMatrices;
-  if (args.has("solver")) {
-    warn_deprecated_once("--solver", "--solver-config backend=<name>");
-    const std::string solver = args.get("solver", "auto");
-    const auto backend = markov::parse_backend(solver);
-    if (!backend)
-      throw std::invalid_argument(
-          "--solver must be auto, dense, sparse, or mfree (got '" + solver +
-          "')");
-    options.solver.backend = *backend;
-  }
-  if (args.has("fallback")) {
-    warn_deprecated_once("--fallback",
-                         "--solver-config fallback=<stage+stage+...>");
-    options.solver.fallback.stages =
-        markov::parse_fallback_stages(args.get("fallback", ""));
-  }
-  // The consolidated spec applies last: an explicit --solver-config always
-  // wins over the deprecated aliases it replaces.
   if (args.has("solver-config"))
     options.solver.apply(args.get("solver-config", ""));
   return options;
@@ -1006,11 +974,9 @@ std::string remote_request_json(std::uint64_t id, const std::string& method,
     }
     json.end_object();
     if (args.has("convention") || args.has("attachment") ||
-        args.has("solver") || args.has("fallback") ||
         args.has("solver-config")) {
       json.key("options").begin_object();
-      for (const char* key :
-           {"convention", "attachment", "solver", "fallback"})
+      for (const char* key : {"convention", "attachment"})
         if (args.has(key)) json.kv(key, args.get(key, ""));
       if (args.has("solver-config"))
         json.kv("solver_config", args.get("solver-config", ""));
